@@ -17,12 +17,8 @@ from iseeq.sitq import build_index, query
 
 
 def make_store(rng, n, dim):
-    matrix = rng.standard_normal((n, dim)).astype(np.float32)
     return VectorStore(
-        dim=dim,
-        ids=[f"v{i:06d}" for i in range(n)],
-        matrix=matrix,
-        norms=np.linalg.norm(matrix.astype(np.float64), axis=1),
+        [f"v{i:06d}" for i in range(n)], rng.standard_normal((n, dim)).astype(np.float32)
     )
 
 

@@ -17,14 +17,14 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kpr, losses, metrics, sitq
-from .config import RunConfig
-from .embeddings import TokenDoc, VectorStore, build_token_doc, load_vectors, save_vectors
+from .config import RunConfig, setting_type
+from .embeddings import TokenDoc, VectorStore, build_token_doc, load_vectors, read_jsonl
 from .errors import DataError, EmptyInputError, IseeqError, ParseError
 from .kg import canonical_entity, load_kg
 from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query
@@ -45,27 +45,14 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}", line_no) from exc
-    return records
-
-
 def _read_queries(path: str | Path) -> list[QueryDescription]:
     queries = []
-    for record in _read_jsonl(path):
+    for line_no, record in read_jsonl(path):
         try:
             kind = QueryKind(record.get("kind", "description_only"))
             queries.append(QueryDescription(id=str(record["id"]), text=record["text"], kind=kind))
         except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: bad query record: {exc}") from exc
+            raise ParseError(f"{path}: bad query record: {exc}", line_no) from exc
     if not queries:
         raise EmptyInputError(f"{path}: no queries")
     return queries
@@ -73,11 +60,11 @@ def _read_queries(path: str | Path) -> list[QueryDescription]:
 
 def _read_passages(path: str | Path) -> list[kpr.Passage]:
     passages = []
-    for record in _read_jsonl(path):
+    for line_no, record in read_jsonl(path):
         try:
             passages.append(kpr.Passage(id=str(record["id"]), text=record["text"]))
         except KeyError as exc:
-            raise DataError(f"{path}: passage record missing {exc}") from exc
+            raise ParseError(f"{path}: passage record missing {exc}", line_no) from exc
     if not passages:
         raise EmptyInputError(f"{path}: no passages")
     return passages
@@ -95,7 +82,7 @@ def _expand_all(args, kg) -> list[ExpandedQuery]:
     queries = _read_queries(args.queries)
     phrase_map: dict[str, list[str]] = {}
     if getattr(args, "phrases", None):
-        for record in _read_jsonl(args.phrases):
+        for _, record in read_jsonl(args.phrases):
             phrase_map[str(record["id"])] = [str(p) for p in record["phrases"]]
     out = []
     for query in queries:
@@ -126,14 +113,16 @@ def _resolve_phrases(kg, text: str, phrases: list[str]):
             continue
         if entity in entities:
             continue
-        start = lowered.find(phrase.lower())
+        mention = phrase.lower()
+        start = lowered.find(mention)
         if start < 0:
-            start = lowered.find(entity.replace("_", " "))
+            mention = entity.replace("_", " ")
+            start = lowered.find(mention)
         if start < 0:
             logger.warning("phrase %r has no mention in query text; skipped", phrase)
             continue
         entities.append(entity)
-        spans.append((start, start + len(phrase)))
+        spans.append((start, start + len(mention)))
     return entities, spans
 
 
@@ -225,8 +214,8 @@ def cmd_retrieve(args) -> int:
     top_n = min(cfg.top_n, len(index))
     top_k = min(cfg.top_k, top_n)
 
-    def run_one(eq: ExpandedQuery):
-        return kpr.retrieve(
+    results = [
+        kpr.retrieve(
             index,
             passage_table,
             token_docs,
@@ -238,12 +227,8 @@ def cmd_retrieve(args) -> int:
             nes_threshold=cfg.nes_threshold,
             probe=cfg.probe,
         )
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_one, expanded))
-    else:
-        results = [run_one(eq) for eq in expanded]
+        for eq in expanded
+    ]
     _print_json(
         {
             "config": {
@@ -285,12 +270,12 @@ def _relevance_from_questions(args, cfg) -> tuple[dict[str, set[str]], dict[str,
     any question generated from it clears the cosine cut against any
     ground-truth question of the query."""
     gt_vecs: dict[str, list[np.ndarray]] = {}
-    for record in _read_jsonl(args.gt_question_vecs):
+    for _, record in read_jsonl(args.gt_question_vecs):
         gt_vecs.setdefault(str(record["query_id"]), []).append(
             np.asarray(record["vec"], dtype=np.float64)
         )
     relevance: dict[str, set[str]] = {qid: set() for qid in gt_vecs}
-    for record in _read_jsonl(args.question_vecs):
+    for _, record in read_jsonl(args.question_vecs):
         qid = str(record["query_id"])
         pid = str(record["passage_id"])
         vec = np.asarray(record["vec"], dtype=np.float64)
@@ -323,7 +308,7 @@ def cmd_eval_retriever(args) -> int:
     if args.relevance:
         relevance: dict[str, set[str]] = {}
         counts: dict[str, int] = {}
-        for record in _read_jsonl(args.relevance):
+        for _, record in read_jsonl(args.relevance):
             qid = str(record["query_id"])
             relevance[qid] = {str(p) for p in record["relevant"]}
             if "n_questions" in record:
@@ -348,11 +333,11 @@ def cmd_wmd(args) -> int:
     lookup = load_vectors(args.vectors)
     docs_a = [
         build_token_doc(str(r["id"]), [str(t) for t in r["tokens"]], lookup)
-        for r in _read_jsonl(args.docs_a)
+        for _, r in read_jsonl(args.docs_a)
     ]
     docs_b = [
         build_token_doc(str(r["id"]), [str(t) for t in r["tokens"]], lookup)
-        for r in _read_jsonl(args.docs_b)
+        for _, r in read_jsonl(args.docs_b)
     ]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["id"] + [b.doc_id for b in docs_b])
@@ -399,8 +384,8 @@ def cmd_score_losses(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    score_records = _read_jsonl(args.sr) if args.sr else []
-    label_records = _read_jsonl(args.lc) if args.lc else []
+    score_records = [r for _, r in read_jsonl(args.sr)] if args.sr else []
+    label_records = [r for _, r in read_jsonl(args.lc)] if args.lc else []
     if not score_records and not label_records:
         raise UsageError("evaluate needs --sr and/or --lc")
     by_query: dict[str, dict[str, list]] = {}
@@ -437,36 +422,24 @@ def cmd_evaluate(args) -> int:
 
 
 def _config(args) -> RunConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in RunConfig.field_names()
-        if hasattr(args, name) and getattr(args, name) is not None
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return RunConfig.load(getattr(args, "config", None), overrides)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
-    helps = {
-        "alpha": "reward mix between exact-overlap and soft-match terms (default 0.1971, reference)",
-        "gamma": "epoch EMA weight for loss tuning (default 0.12, reference)",
-        "nes_threshold": "strict entity-score filter (default 0.80, reference)",
-        "top_k": "passages kept after filtering (default 20, reference)",
-        "top_n": "candidates fetched before re-ranking (default 100)",
-        "code_bits": "binary code width (default 64)",
-        "itq_iters": "rotation refinement rounds (default 50)",
-        "probe": "Hamming candidates examined (default 8 * top_k)",
-        "seed": "rotation-init seed; the only stochastic step (default 42)",
-        "cosine_relevance": "relevance cosine cut for evaluation (default 0.70, reference)",
-        "threads": "worker threads for per-query stages (default 1)",
-    }
-    floats = {"alpha", "gamma", "nes_threshold", "cosine_relevance"}
+def _add_config_flags(
+    parser: argparse.ArgumentParser, names: list[str], spellings: dict[str, str] | None = None
+) -> None:
+    """One flag per named RunConfig field; ``spellings`` renames a flag."""
+    settings = {f.name: f for f in fields(RunConfig)}
     for name in names:
+        f = settings[name]
+        shown = "" if f.default is None else f" (default {f.default})"
         parser.add_argument(
-            f"--{name.replace('_', '-')}",
+            (spellings or {}).get(name, f"--{name.replace('_', '-')}"),
             dest=name,
-            type=float if name in floats else int,
+            type=setting_type(f),
             default=None,
-            help=helps[name],
+            help=f.metadata["help"] + shown,
         )
 
 
@@ -493,9 +466,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-index", help="build and persist the SITQ index")
     p.add_argument("--vectors", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bits", dest="code_bits", type=int, default=None,
-                   help="binary code width (default 64)")
-    _add_config_flags(p, ["itq_iters", "seed"])
+    _add_config_flags(p, ["code_bits", "itq_iters", "seed"], {"code_bits": "--bits"})
     p.set_defaults(func=cmd_build_index)
 
     for name in ("retrieve", "coverage"):
@@ -517,8 +488,7 @@ def build_parser() -> _Parser:
             p.set_defaults(func=cmd_coverage)
         _add_config_flags(
             p,
-            ["nes_threshold", "top_k", "top_n", "code_bits", "itq_iters",
-             "probe", "seed", "threads"],
+            ["nes_threshold", "top_k", "top_n", "code_bits", "itq_iters", "probe", "seed"],
         )
 
     p = sub.add_parser("eval-retriever", help="hit rate and MAP for retrieval results")

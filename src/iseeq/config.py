@@ -1,51 +1,47 @@
 """Run configuration shared by the CLI subcommands.
 
 Precedence is defaults < config file < command-line flags. The file
-format is flat ``key = value`` lines with ``#`` comments.
+format is flat ``key = value`` lines with ``#`` comments. Each field is
+the one definition of its setting: the CLI reads the flag type, help
+text and shown default from it, and the file parser reads the cast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError
 
-# Defaults marked "reference" reproduce the published operating point of
-# the pipeline; the rest are implementation choices.
-_REFERENCE_DEFAULTS = {"alpha", "gamma", "nes_threshold", "top_k", "cosine_relevance"}
+
+def _setting(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
+def setting_type(f: Field) -> type:
+    """Cast for a setting's flag or config-file value."""
+    return float if f.type == "float" else int
 
 
 @dataclass
 class RunConfig:
-    alpha: float = 0.1971  # reward mix, reference
-    gamma: float = 0.12  # epoch EMA weight, reference
-    nes_threshold: float = 0.80  # entity-score filter, reference
-    top_k: int = 20  # kept passages, reference
-    top_n: int = 100  # candidates fetched before re-ranking
-    code_bits: int = 64
-    itq_iters: int = 50
-    probe: int | None = None  # defaults to 8 * top_k
-    seed: int = 42
-    cosine_relevance: float = 0.70  # relevance cut for evaluation, reference
-    threads: int = 1
+    alpha: float = _setting(0.1971, "reward mix of exact-overlap and soft-match terms, reference")
+    gamma: float = _setting(0.12, "epoch EMA weight for loss tuning, reference")
+    nes_threshold: float = _setting(0.80, "strict entity-score filter, reference")
+    top_k: int = _setting(20, "passages kept after filtering, reference")
+    top_n: int = _setting(100, "candidates fetched before re-ranking")
+    code_bits: int = _setting(64, "binary code width")
+    itq_iters: int = _setting(50, "rotation refinement rounds")
+    probe: int | None = _setting(None, "Hamming candidates examined (default 8 * top_k)")
+    seed: int = _setting(42, "rotation-init seed; the only stochastic step")
+    cosine_relevance: float = _setting(0.70, "relevance cosine cut for evaluation, reference")
 
     def __post_init__(self):
         if self.probe is None:
             self.probe = 8 * self.top_k
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.nes_threshold < 1.0:
-            raise ValueError(f"nes_threshold must be in [0, 1), got {self.nes_threshold}")
-        for name in ("top_k", "top_n", "code_bits", "itq_iters", "probe", "threads"):
+        for name in ("top_k", "top_n", "code_bits", "itq_iters", "probe"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
 
     @classmethod
     def load(
@@ -62,9 +58,7 @@ class RunConfig:
 
     @classmethod
     def _parse_file(cls, path: Path) -> dict:
-        types = {f.name: f.type for f in fields(cls)}
-        casts = {"alpha": float, "gamma": float, "nes_threshold": float,
-                 "cosine_relevance": float}
+        settings = {f.name: f for f in fields(cls)}
         values: dict = {}
         with path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -76,13 +70,10 @@ class RunConfig:
                 key, _, raw = line.partition("=")
                 key = key.strip()
                 raw = raw.strip()
-                if key not in types:
+                if key not in settings:
                     raise ParseError(f"{path}: unknown config key {key!r}", line_no)
                 try:
-                    values[key] = casts.get(key, int)(raw)
+                    values[key] = setting_type(settings[key])(raw)
                 except ValueError as exc:
                     raise ParseError(f"{path}: bad value for {key}: {raw!r}", line_no) from exc
         return values
-
-    def is_reference_default(self, name: str) -> bool:
-        return name in _REFERENCE_DEFAULTS

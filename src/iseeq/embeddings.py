@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -32,12 +33,14 @@ VEC_MAGIC = b"ISEQVEC1"
 class VectorStore:
     """Immutable id-keyed float32 matrix with precomputed row norms."""
 
-    dim: int
     ids: list[str]
     matrix: np.ndarray  # (len(ids), dim) float32, row-major
-    norms: np.ndarray  # (len(ids),) float64
+    dim: int = field(init=False)
+    norms: np.ndarray = field(init=False)  # (len(ids),) float64
 
     def __post_init__(self):
+        self.dim = self.matrix.shape[1]
+        self.norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
         self._row_of = {pid: i for i, pid in enumerate(self.ids)}
         if len(self._row_of) != len(self.ids):
             raise DataError("duplicate id in vector store")
@@ -55,43 +58,82 @@ class VectorStore:
         return self._row_of[vec_id]
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, record)`` for each non-blank line of a JSONL file.
+
+    A line that is not UTF-8 or not a JSON object raises
+    :class:`ParseError`; callers check the fields.
+    """
+    with Path(path).open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: invalid UTF-8: {exc}", line_no) from exc
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: {exc}", line_no) from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}: expected a JSON object", line_no)
+            yield line_no, record
+
+
+def read_exact(fh: BinaryIO, n: int, origin: str | Path) -> bytes:
+    """Exactly ``n`` bytes from ``fh``; a short read is a truncated file."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise DataError(f"{origin}: truncated at byte {fh.tell()}")
+    return buf
+
+
+def write_id(fh: BinaryIO, vec_id: str) -> None:
+    """Write an id as u16 byte length + UTF-8 bytes."""
+    encoded = vec_id.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ValueError(f"id too long: {vec_id[:32]!r}...")
+    fh.write(struct.pack("<H", len(encoded)))
+    fh.write(encoded)
+
+
+def read_id(fh: BinaryIO, origin: str | Path) -> str:
+    """Inverse of :func:`write_id`."""
+    (n,) = struct.unpack("<H", read_exact(fh, 2, origin))
+    try:
+        return read_exact(fh, n, origin).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{origin}: id is not valid UTF-8 near byte {fh.tell()}") from exc
+
+
 def _finish_store(ids: list[str], matrix: np.ndarray, origin: str) -> VectorStore:
     if matrix.size and not np.isfinite(matrix).all():
         bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
         raise DataError(f"{origin}: non-finite value in vector {ids[bad]!r}")
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-    return VectorStore(dim=matrix.shape[1], ids=ids, matrix=matrix, norms=norms)
+    return VectorStore(ids, matrix)
 
 
 def load_vectors(path: str | Path) -> VectorStore:
     """Load a vector store, sniffing binary vs JSONL by the magic bytes."""
     path = Path(path)
     with path.open("rb") as fh:
-        head = fh.read(8)
-    if head == VEC_MAGIC:
-        return _load_binary(path)
+        if fh.read(8) == VEC_MAGIC:
+            return _load_binary(fh, path)
     return _load_jsonl(path)
 
 
-def _load_binary(path: Path) -> VectorStore:
-    with path.open("rb") as fh:
-        magic = fh.read(8)
-        if magic != VEC_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise DataError(f"{path}: truncated header")
-        dim, count = struct.unpack("<IQ", header)
-        ids: list[str] = []
-        matrix = np.empty((count, dim), dtype=np.float32)
-        row_bytes = dim * 4
-        for i in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            ids.append(fh.read(id_len).decode("utf-8"))
-            buf = fh.read(row_bytes)
-            if len(buf) != row_bytes:
-                raise DataError(f"{path}: truncated row {i}")
-            matrix[i] = np.frombuffer(buf, dtype="<f4")
+def _load_binary(fh: BinaryIO, path: Path) -> VectorStore:
+    """Rows of an open ``ISEQVEC1`` file positioned after the magic."""
+    dim, count = struct.unpack("<IQ", read_exact(fh, 12, path))
+    row_bytes = dim * 4
+    if count * (2 + row_bytes) > path.stat().st_size - 20:
+        raise DataError(f"{path}: header claims {count} rows of dim {dim}, file too short")
+    ids: list[str] = []
+    matrix = np.empty((count, dim), dtype=np.float32)
+    for i in range(count):
+        ids.append(read_id(fh, path))
+        matrix[i] = np.frombuffer(read_exact(fh, row_bytes, path), dtype="<f4")
     return _finish_store(ids, matrix, str(path))
 
 
@@ -99,26 +141,22 @@ def _load_jsonl(path: Path) -> VectorStore:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                vec_id = record["id"]
-                vec = np.asarray(record["vec"], dtype=np.float32)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: {exc}", line_no) from exc
-            if vec.ndim != 1:
-                raise ParseError(f"{path}: vec must be a flat list", line_no)
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise ParseError(
-                    f"{path}: dim mismatch ({vec.shape[0]} != {dim})", line_no
-                )
-            ids.append(str(vec_id))
-            rows.append(vec)
+    for line_no, record in read_jsonl(path):
+        try:
+            vec_id = record["id"]
+            vec = np.asarray(record["vec"], dtype=np.float32)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}", line_no) from exc
+        if vec.ndim != 1:
+            raise ParseError(f"{path}: vec must be a flat list", line_no)
+        if dim is None:
+            dim = int(vec.shape[0])
+        elif vec.shape[0] != dim:
+            raise ParseError(
+                f"{path}: dim mismatch ({vec.shape[0]} != {dim})", line_no
+            )
+        ids.append(str(vec_id))
+        rows.append(vec)
     if not rows:
         raise EmptyInputError(f"{path}: no vectors")
     return _finish_store(ids, np.vstack(rows), str(path))
@@ -133,11 +171,7 @@ def save_vectors(path: str | Path, ids: list[str], matrix: np.ndarray) -> None:
         fh.write(VEC_MAGIC)
         fh.write(struct.pack("<IQ", matrix.shape[1], matrix.shape[0]))
         for vec_id, row in zip(ids, matrix):
-            encoded = vec_id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"id too long: {vec_id[:32]!r}...")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
+            write_id(fh, vec_id)
             fh.write(row.astype("<f4").tobytes())
 
 
@@ -159,24 +193,17 @@ class TokenDoc:
         return self.vectors.shape[1]
 
 
-def build_token_doc(
-    doc_id: str,
-    tokens: list[str],
-    lookup: VectorStore,
-    strict: bool = False,
-) -> TokenDoc:
+def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> TokenDoc:
     """Assemble a TokenDoc from raw tokens and a token-vector lookup.
 
-    Unknown tokens raise in strict mode; otherwise they are dropped with
-    a warning. Raises :class:`EmptyInputError` when nothing survives.
+    Unknown tokens are dropped with a warning. Raises
+    :class:`EmptyInputError` when nothing survives.
     """
     counts: dict[str, int] = {}
     dropped = 0
     for token in tokens:
         if token in lookup:
             counts[token] = counts.get(token, 0) + 1
-        elif strict:
-            raise DataError(f"token {token!r} missing from vector lookup")
         else:
             dropped += 1
     if dropped:

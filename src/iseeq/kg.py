@@ -45,16 +45,12 @@ class KnowledgeGraph:
     entities: set[str] = field(default_factory=set)
     adjacency: dict[str, list[Triple]] = field(default_factory=dict)
     lexicon: dict[str, str] = field(default_factory=dict)
+    max_phrase_len: int = field(init=False)  # longest lexicon phrase, in words
 
     def __post_init__(self):
-        self._max_phrase_len = max(
+        self.max_phrase_len = max(
             (key.count("_") + 1 for key in self.lexicon), default=0
         )
-
-    @property
-    def max_phrase_len(self) -> int:
-        """Longest lexicon phrase, in words."""
-        return self._max_phrase_len
 
     @property
     def n_triples(self) -> int:
@@ -70,10 +66,10 @@ class KnowledgeGraph:
             spaced = entity.replace("_", " ")
             if spaced != entity:
                 self.lexicon.setdefault(spaced, entity)
-            self._max_phrase_len = max(self._max_phrase_len, entity.count("_") + 1)
+            self.max_phrase_len = max(self.max_phrase_len, entity.count("_") + 1)
 
 
-def load_kg(path: str | Path, fmt: str = "tsv", strict: bool = False) -> KnowledgeGraph:
+def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
     """Load a knowledge graph from a tab-separated triple file.
 
     Each line is ``subject<TAB>relation<TAB>object``. Entities are
@@ -81,8 +77,6 @@ def load_kg(path: str | Path, fmt: str = "tsv", strict: bool = False) -> Knowled
     malformed line raises :class:`ParseError`; otherwise it is skipped
     with a warning.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unsupported kg format: {fmt!r}")
     path = Path(path)
     kg = KnowledgeGraph()
     seen: set[tuple[str, str, str]] = set()

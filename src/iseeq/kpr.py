@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -22,12 +21,10 @@ import numpy as np
 from . import sitq
 from .embeddings import TokenDoc, VectorStore
 from .errors import DataError
-from .sqe import ExpandedQuery
+from .sqe import TOKEN_RE, ExpandedQuery, normalize_words
 from .wmd import wmd_exact
 
 logger = logging.getLogger(__name__)
-
-_WORD_RE = re.compile(r"[a-z0-9_']+")
 
 # Reference retrieval scores reported for this pipeline's original
 # large-scale evaluation (QAMR Wikinews, expanded-query encoding).
@@ -38,16 +35,13 @@ REFERENCE_MAP = 0.38
 
 
 def tokenize_text(text: str) -> list[str]:
-    """Lowercased word tokens; possessives stripped, underscores split."""
-    out: list[str] = []
-    for raw in _WORD_RE.findall(text.lower()):
-        raw = raw.strip("'")
-        if raw.endswith("'s"):
-            raw = raw[:-2]
-        for part in raw.split("_"):
-            if part:
-                out.append(part)
-    return out
+    """Lowercased word tokens under the sqe word rule, underscores split."""
+    return [
+        part
+        for word in normalize_words(TOKEN_RE.findall(text.lower()))
+        for part in word.split("_")
+        if part
+    ]
 
 
 @dataclass
@@ -192,13 +186,7 @@ def coverage_loop(
         ids.extend(batch_ids)
         rows.append(np.asarray(batch_matrix, dtype=np.float32))
 
-        matrix = np.vstack(rows)
-        store = VectorStore(
-            dim=matrix.shape[1],
-            ids=list(ids),
-            matrix=matrix,
-            norms=np.linalg.norm(matrix.astype(np.float64), axis=1),
-        )
+        store = VectorStore(list(ids), np.vstack(rows))
         index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
         effective_top_n = min(top_n, len(store))
         for eq in queries:

@@ -10,14 +10,13 @@ data; there is no autodiff here.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import TokenDoc, VectorStore, build_token_doc
+from .embeddings import TokenDoc, VectorStore, build_token_doc, read_jsonl
 from .errors import DataError, EmptyInputError, ParseError
 from .wmd import soft_match
 
@@ -181,10 +180,7 @@ def _one_hot_lookup(records: list[dict]) -> VectorStore:
             if token not in seen:
                 seen.add(token)
                 vocab.append(token)
-    matrix = np.eye(len(vocab), dtype=np.float32)
-    return VectorStore(
-        dim=len(vocab), ids=vocab, matrix=matrix, norms=np.ones(len(vocab))
-    )
+    return VectorStore(vocab, np.eye(len(vocab), dtype=np.float32))
 
 
 def load_loss_batch(
@@ -200,20 +196,15 @@ def load_loss_batch(
     ``clamp_probs``, zero probabilities are floored at 1e-12 instead of
     rejected.
     """
-    path = Path(path)
     records: list[dict] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                record["generated"] = [str(t) for t in record["generated"]]
-                record["reference"] = [str(t) for t in record["reference"]]
-                record["gen_prob"] = float(record["gen_prob"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: {exc}", line_no) from exc
-            records.append(record)
+    for line_no, record in read_jsonl(path):
+        try:
+            record["generated"] = [str(t) for t in record["generated"]]
+            record["reference"] = [str(t) for t in record["reference"]]
+            record["gen_prob"] = float(record["gen_prob"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}", line_no) from exc
+        records.append(record)
     if not records:
         raise EmptyInputError(f"{path}: empty batch")
     if lookup is None:

@@ -16,13 +16,14 @@ randomized step).
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import VectorStore
+from .embeddings import VectorStore, read_exact, read_id, write_id
 from .errors import DataError, EmptyInputError
 
 logger = logging.getLogger(__name__)
@@ -48,18 +49,15 @@ class SitqIndex:
     ids: list[str]
     raw: VectorStore
     itq_objective: list[float] = field(default_factory=list)
+    store_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # codes follow ids order; the raw store may order rows differently
-        self._store_rows = np.array([self.raw.row_index(p) for p in self.ids])
+        self.store_rows = np.array([self.raw.row_index(p) for p in self.ids])
 
     @property
     def code_bits(self) -> int:
         return self.rotation.shape[0]
-
-    @property
-    def store_rows(self) -> np.ndarray:
-        return self._store_rows
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -213,9 +211,7 @@ def save_index(index: SitqIndex, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(index.rotation, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(index.codes, dtype="<u8").tobytes())
         for pid in index.ids:
-            encoded = pid.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
+            write_id(fh, pid)
 
 
 def load_index(path: str | Path, store: VectorStore) -> SitqIndex:
@@ -226,30 +222,30 @@ def load_index(path: str | Path, store: VectorStore) -> SitqIndex:
         if magic != IDX_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
         dim, dim_aug, code_bits, words, count, max_norm = struct.unpack(
-            "<IIIIQd", fh.read(32)
+            "<IIIIQd", read_exact(fh, 32, path)
         )
+        if dim_aug != dim + 1 or code_bits < 1 or words != -(-code_bits // 64):
+            raise DataError(
+                f"{path}: inconsistent header (dim {dim}, dim_aug {dim_aug}, "
+                f"code_bits {code_bits}, words {words})"
+            )
         if dim != store.dim:
             raise DataError(f"{path}: index dim {dim} != store dim {store.dim}")
-        mean = np.frombuffer(fh.read(dim_aug * 8), dtype="<f8").copy()
-        projection = (
-            np.frombuffer(fh.read(dim_aug * code_bits * 8), dtype="<f8")
-            .reshape(dim_aug, code_bits)
-            .copy()
-        )
-        rotation = (
-            np.frombuffer(fh.read(code_bits * code_bits * 8), dtype="<f8")
-            .reshape(code_bits, code_bits)
-            .copy()
-        )
-        codes = (
-            np.frombuffer(fh.read(count * words * 8), dtype="<u8")
-            .reshape(count, words)
-            .copy()
-        )
-        ids = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            ids.append(fh.read(id_len).decode("utf-8"))
+        body = 8 * (dim_aug + dim_aug * code_bits + code_bits * code_bits + count * words)
+        if body + 2 * count > path.stat().st_size - 40:
+            raise DataError(f"{path}: header claims {count} codes, file too short")
+
+        def block(dtype: str, *shape: int) -> np.ndarray:
+            buf = read_exact(fh, 8 * math.prod(shape), path)
+            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+
+        mean = block("<f8", dim_aug)
+        projection = block("<f8", dim_aug, code_bits)
+        rotation = block("<f8", code_bits, code_bits)
+        codes = block("<u8", count, words)
+        ids = [read_id(fh, path) for _ in range(count)]
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after {count} ids")
     missing = [pid for pid in ids if pid not in store]
     if missing:
         raise DataError(f"{path}: {len(missing)} indexed ids missing from store")

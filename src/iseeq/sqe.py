@@ -14,12 +14,14 @@ import enum
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .kg import KnowledgeGraph, Triple, canonical_entity, extract_triples
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
+# The one word rule: entity matching here and passage tokens in kpr.
+TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 
 # Display forms for a few common run-together relation spellings seen in
 # commonsense KG dumps. Applied only when rendering injected clauses;
@@ -69,20 +71,17 @@ class ExpandedQuery:
     injections: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """(normalized_token, start, end) for each word-like run in text.
+def normalize_words(raw_words: Iterable[str]) -> Iterator[str]:
+    """Strip quotes and a possessive 's from each lowercased ``TOKEN_RE``
+    match, so "physician's" matches the entity token "physician".
 
-    Lowercases and strips possessive 's so "physician's" matches the
-    entity token "physician".
+    Yields one word per input, possibly empty.
     """
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group().lower().strip("'")
-        if tok.endswith("'s"):
-            tok = tok[:-2]
-        if tok:
-            out.append((tok, m.start(), m.end()))
-    return out
+    for raw in raw_words:
+        word = raw.strip("'")
+        if word.endswith("'s"):
+            word = word[:-2]
+        yield word
 
 
 def extract_entities(
@@ -99,7 +98,9 @@ def extract_entities(
     """
     if not text:
         raise ValueError("text must be non-empty")
-    tokens = _tokenize(text)
+    matches = list(TOKEN_RE.finditer(text))
+    words = normalize_words(m.group().lower() for m in matches)
+    tokens = [(word, m.start(), m.end()) for m, word in zip(matches, words) if word]
     entities: list[str] = []
     spans: list[tuple[int, int]] = []
     found: set[str] = set()

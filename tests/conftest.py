@@ -23,13 +23,7 @@ def career_kg(career_kg_path):
 
 
 def make_store(ids, matrix) -> VectorStore:
-    matrix = np.asarray(matrix, dtype=np.float32)
-    return VectorStore(
-        dim=matrix.shape[1],
-        ids=list(ids),
-        matrix=matrix,
-        norms=np.linalg.norm(matrix.astype(np.float64), axis=1),
-    )
+    return VectorStore(list(ids), np.asarray(matrix, dtype=np.float32))
 
 
 def random_store(rng, n, dim, prefix="v") -> VectorStore:

@@ -56,11 +56,7 @@ def build_corpus(seed: int, n_passages: int = 200, dim: int = 16, token_dim: int
         passages.append(Passage(id=f"p{i:04d}", text=passage_text(rng, plan)))
 
     ids = [p.id for p in passages]
-    matrix = rng.standard_normal((n_passages, dim)).astype(np.float32)
-    store = VectorStore(
-        dim=dim, ids=ids, matrix=matrix,
-        norms=np.linalg.norm(matrix.astype(np.float64), axis=1),
-    )
+    store = VectorStore(ids, rng.standard_normal((n_passages, dim)).astype(np.float32))
 
     kg_terms = tokenize_text(" ".join(KG_LINES).replace("\t", " ")) + ["related"]
     vocab = sorted(
@@ -68,11 +64,7 @@ def build_corpus(seed: int, n_passages: int = 200, dim: int = 16, token_dim: int
         | set(tokenize_text(QUERY_TEXT))
         | set(kg_terms)
     )
-    token_matrix = rng.standard_normal((len(vocab), token_dim)).astype(np.float32)
-    token_store = VectorStore(
-        dim=token_dim, ids=vocab, matrix=token_matrix,
-        norms=np.linalg.norm(token_matrix.astype(np.float64), axis=1),
-    )
+    token_store = VectorStore(vocab, rng.standard_normal((len(vocab), token_dim)).astype(np.float32))
     query_vec = rng.standard_normal(dim)
     return passages, plans, store, token_store, query_vec
 

@@ -1,0 +1,61 @@
+"""The benchmark in ``perfbench/`` reaches into iseeq by module attribute.
+
+Its traced pass wraps every ``(module, attribute)`` in
+``perfbench/tracing.py``'s ``WRAPPED`` table, and its workloads call the
+entry points listed below. A refactor that renames one of them breaks
+the benchmark with an ``AttributeError``; these tests catch that first.
+"""
+
+import importlib
+import importlib.util
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from iseeq.config import RunConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _wrapped() -> list[tuple[str, str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+def _resolve(module_name: str, dotted: str):
+    obj = importlib.import_module(module_name)
+    for attr in dotted.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+@pytest.mark.parametrize("module_name,attr,span", _wrapped())
+def test_traced_attribute_is_callable(module_name, attr, span):
+    assert callable(_resolve(module_name, attr))
+
+
+@pytest.mark.parametrize(
+    "module_name,attr",
+    [
+        ("iseeq.cli", "main"),
+        ("iseeq.embeddings", "save_vectors"),
+        ("iseeq.kpr", "Passage"),
+        ("iseeq.kpr", "tokenize_text"),
+        ("iseeq.kpr", "batch_passages"),
+        ("iseeq.kpr", "RetrievalResult.to_dict"),
+        ("iseeq.kpr", "CoverageReport.to_dict"),
+        ("iseeq.sqe", "QueryDescription"),
+        ("iseeq.sqe", "QueryKind"),
+        ("iseeq.errors", "EmptyInputError"),
+    ],
+)
+def test_workload_entry_point_is_callable(module_name, attr):
+    assert callable(_resolve(module_name, attr))
+
+
+def test_run_config_has_the_settings_workloads_read():
+    names = {f.name for f in fields(RunConfig)}
+    assert {"code_bits", "itq_iters", "seed", "top_n", "top_k", "nes_threshold", "probe"} <= names

@@ -102,11 +102,6 @@ class TestTokenDoc:
         assert np.allclose(doc.weights, [10 / 45, 20 / 45, 15 / 45])
         assert abs(doc.weights.sum() - 1.0) < 1e-6
 
-    def test_oov_strict_raises(self):
-        store = make_store(["a"], [[1.0]])
-        with pytest.raises(DataError):
-            build_token_doc("d", ["a", "oov"], store, strict=True)
-
     def test_all_oov_rejected(self):
         store = make_store(["a"], [[1.0]])
         with pytest.raises(EmptyInputError):

@@ -1,0 +1,142 @@
+"""Truncated, inconsistent and non-UTF-8 input files end in exit 2.
+
+Every case runs through ``cli.main``: a reader that lets a low-level
+error escape shows up here as a raised exception or an exit code other
+than 2.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from iseeq.cli import main
+from iseeq.embeddings import save_vectors
+from iseeq.sitq import build_index, save_index
+
+from conftest import make_store
+
+
+def run_cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    """A four-passage retrieval workspace; ``index_bytes`` adds a 2-bit index."""
+    (tmp_path / "kg.tsv").write_text("solar\tisa\tpanel\n", encoding="utf-8")
+    (tmp_path / "q.jsonl").write_text(json.dumps({"id": "q0", "text": "solar power"}) + "\n")
+    texts = ["solar power", "wind power", "solar panel", "grid"]
+    (tmp_path / "p.jsonl").write_text(
+        "".join(json.dumps({"id": f"p{i}", "text": t}) + "\n" for i, t in enumerate(texts))
+    )
+    rng = np.random.default_rng(3)
+    save_vectors(tmp_path / "pv.bin", [f"p{i}" for i in range(4)], rng.standard_normal((4, 2)))
+    save_vectors(tmp_path / "qv.bin", ["q0"], rng.standard_normal((1, 2)))
+    vocab = ["solar", "power", "wind", "panel", "grid", "isa"]
+    save_vectors(tmp_path / "tv.bin", vocab, rng.standard_normal((len(vocab), 2)))
+    return tmp_path
+
+
+def retrieve_argv(ws, index):
+    return ["retrieve", "--kg", ws / "kg.tsv", "--queries", ws / "q.jsonl",
+            "--passages", ws / "p.jsonl", "--passage-vectors", ws / "pv.bin",
+            "--query-vectors", ws / "qv.bin", "--token-vectors", ws / "tv.bin",
+            "--index", index]
+
+
+@pytest.fixture
+def index_bytes(workspace, capsys):
+    path = workspace / "index.bin"
+    code, err = run_cli(capsys, "build-index", "--vectors", workspace / "pv.bin",
+                        "--out", path, "--bits", "2")
+    assert code == 0, err
+    code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+    assert code == 0, err
+    return path.read_bytes()
+
+
+class TestVectorsFile:
+    def valid_bytes(self, tmp_path) -> bytes:
+        path = tmp_path / "ok.bin"
+        save_vectors(path, ["a", "bé", "c"], np.arange(6, dtype=np.float32).reshape(3, 2))
+        return path.read_bytes()
+
+    def build(self, capsys, tmp_path, data: bytes):
+        path = tmp_path / "v.bin"
+        path.write_bytes(data)
+        return run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
+
+    def test_every_strict_prefix_exits_2(self, capsys, tmp_path):
+        data = self.valid_bytes(tmp_path)
+        assert self.build(capsys, tmp_path, data)[0] == 0
+        for n in range(len(data)):
+            code, err = self.build(capsys, tmp_path, data[:n])
+            assert code == 2, (n, err)
+
+    def test_count_beyond_file_size(self, capsys, tmp_path):
+        data = b"ISEQVEC1" + struct.pack("<IQ", 4, 10**12) + b"\x01\x00a" + b"\x00" * 16
+        code, err = self.build(capsys, tmp_path, data)
+        assert code == 2 and "file too short" in err
+
+    def test_id_not_utf8(self, capsys, tmp_path):
+        data = self.valid_bytes(tmp_path)
+        bad = data.replace(b"\x01\x00a", b"\x01\x00\xff", 1)
+        assert bad != data
+        code, err = self.build(capsys, tmp_path, bad)
+        assert code == 2 and "UTF-8" in err
+
+
+class TestIndexFile:
+    def test_every_strict_prefix_exits_2(self, capsys, workspace, index_bytes):
+        path = workspace / "cut.bin"
+        for n in range(len(index_bytes)):
+            path.write_bytes(index_bytes[:n])
+            code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+            assert code == 2, (n, err)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (1, 9, "inconsistent header"),  # dim_aug != dim + 1
+            (3, 2, "inconsistent header"),  # words != ceil(code_bits / 64)
+            (4, 10**12, "file too short"),  # count
+        ],
+    )
+    def test_bad_header_field(self, capsys, workspace, index_bytes, field, value, message):
+        header = list(struct.unpack("<IIIIQd", index_bytes[8:40]))
+        header[field] = value
+        path = workspace / "bad.bin"
+        path.write_bytes(index_bytes[:8] + struct.pack("<IIIIQd", *header) + index_bytes[40:])
+        code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+        assert code == 2 and message in err
+
+    def test_trailing_bytes(self, capsys, workspace, index_bytes):
+        path = workspace / "long.bin"
+        path.write_bytes(index_bytes + b"\x00")
+        code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+        assert code == 2 and "trailing bytes" in err
+
+    def test_id_not_utf8(self, capsys, workspace, index_bytes):
+        path = workspace / "bad.bin"
+        path.write_bytes(index_bytes[:-1] + b"\xff")
+        code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+        assert code == 2 and "UTF-8" in err
+
+    def test_save_rejects_id_longer_than_u16(self, tmp_path):
+        index = build_index(make_store(["x" * 70_000], [[1.0, 2.0]]), code_bits=2)
+        with pytest.raises(ValueError, match="id too long"):
+            save_index(index, tmp_path / "i.bin")
+
+
+class TestJsonlFile:
+    @pytest.mark.parametrize(
+        "line,message",
+        [(b'{"id": "p0", "text": "caf\xe9"}', "invalid UTF-8"), (b"[1, 2]", "JSON object")],
+    )
+    def test_bad_passage_line(self, capsys, workspace, index_bytes, line, message):
+        (workspace / "p.jsonl").write_bytes(b'{"id": "p1", "text": "x"}\n' + line + b"\n")
+        code, err = run_cli(capsys, *retrieve_argv(workspace, workspace / "index.bin"))
+        assert code == 2 and message in err and "line 2" in err
