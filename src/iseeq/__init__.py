@@ -37,6 +37,6 @@ from .losses import (
 from .metrics import MetricReport, lc_score, sr_score
 from .sitq import Candidate, SitqIndex, build_index, load_index, query, save_index
 from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query, extract_entities
-from .wmd import cost_matrix, soft_match, wmd_exact, wmd_relaxed
+from .wmd import cost_matrix, soft_match, wmd_exact
 
 __version__ = "0.1.0"

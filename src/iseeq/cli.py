@@ -45,12 +45,20 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _text_field(record: dict, path: str | Path, line_no: int) -> str:
+    text = record["text"]
+    if not isinstance(text, str):
+        raise ParseError(f"{path}: 'text' must be a string, not {type(text).__name__}", line_no)
+    return text
+
+
 def _read_queries(path: str | Path) -> list[QueryDescription]:
     queries = []
     for line_no, record in read_jsonl(path):
         try:
             kind = QueryKind(record.get("kind", "description_only"))
-            queries.append(QueryDescription(id=str(record["id"]), text=record["text"], kind=kind))
+            text = _text_field(record, path, line_no)
+            queries.append(QueryDescription(id=str(record["id"]), text=text, kind=kind))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: bad query record: {exc}", line_no) from exc
     if not queries:
@@ -62,7 +70,7 @@ def _read_passages(path: str | Path) -> list[kpr.Passage]:
     passages = []
     for line_no, record in read_jsonl(path):
         try:
-            passages.append(kpr.Passage(id=str(record["id"]), text=record["text"]))
+            passages.append(kpr.Passage(id=str(record["id"]), text=_text_field(record, path, line_no)))
         except KeyError as exc:
             raise ParseError(f"{path}: passage record missing {exc}", line_no) from exc
     if not passages:

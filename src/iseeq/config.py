@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
+from .embeddings import read_lines
 from .errors import ParseError
 
 
@@ -60,20 +61,19 @@ class RunConfig:
     def _parse_file(cls, path: Path) -> dict:
         settings = {f.name: f for f in fields(cls)}
         values: dict = {}
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}: expected 'key = value'", line_no)
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in settings:
-                    raise ParseError(f"{path}: unknown config key {key!r}", line_no)
-                try:
-                    values[key] = setting_type(settings[key])(raw)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: bad value for {key}: {raw!r}", line_no) from exc
+        for line_no, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}: expected 'key = value'", line_no)
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if key not in settings:
+                raise ParseError(f"{path}: unknown config key {key!r}", line_no)
+            try:
+                values[key] = setting_type(settings[key])(raw)
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad value for {key}: {raw!r}", line_no) from exc
         return values

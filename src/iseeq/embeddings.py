@@ -58,11 +58,10 @@ class VectorStore:
         return self._row_of[vec_id]
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line_no, record)`` for each non-blank line of a JSONL file.
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file, newline kept.
 
-    A line that is not UTF-8 or not a JSON object raises
-    :class:`ParseError`; callers check the fields.
+    A line that is not UTF-8 raises :class:`ParseError` with path and line.
     """
     with Path(path).open("rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -70,15 +69,25 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: invalid UTF-8: {exc}", line_no) from exc
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}", line_no) from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}: expected a JSON object", line_no)
-            yield line_no, record
+            yield line_no, line
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, record)`` for each non-blank line of a JSONL file.
+
+    A line that is not UTF-8 or not a JSON object raises
+    :class:`ParseError`; callers check the fields.
+    """
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}", line_no) from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: expected a JSON object", line_no)
+        yield line_no, record
 
 
 def read_exact(fh: BinaryIO, n: int, origin: str | Path) -> bytes:

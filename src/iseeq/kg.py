@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .embeddings import read_lines
 from .errors import EmptyInputError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -81,28 +82,27 @@ def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
     kg = KnowledgeGraph()
     seen: set[tuple[str, str, str]] = set()
     n_bad = 0
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                if strict:
-                    raise ParseError(f"expected 3 tab-separated fields, got {line!r}", line_no)
-                logger.warning("%s:%d: skipping malformed line %r", path, line_no, line)
-                n_bad += 1
-                continue
-            subject = canonical_entity(parts[0])
-            relation = parts[1].strip()
-            obj = canonical_entity(parts[2])
-            key = (subject, relation, obj)
-            if key in seen:
-                continue
-            seen.add(key)
-            kg._add_entity(subject)
-            kg._add_entity(obj)
-            kg.adjacency.setdefault(subject, []).append(Triple(subject, relation, obj))
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(p.strip() for p in parts):
+            if strict:
+                raise ParseError(f"expected 3 tab-separated fields, got {line!r}", line_no)
+            logger.warning("%s:%d: skipping malformed line %r", path, line_no, line)
+            n_bad += 1
+            continue
+        subject = canonical_entity(parts[0])
+        relation = parts[1].strip()
+        obj = canonical_entity(parts[2])
+        key = (subject, relation, obj)
+        if key in seen:
+            continue
+        seen.add(key)
+        kg._add_entity(subject)
+        kg._add_entity(obj)
+        kg.adjacency.setdefault(subject, []).append(Triple(subject, relation, obj))
     if not kg.entities:
         raise EmptyInputError(f"{path}: no triples loaded")
     logger.info(

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with different algorithms and
 data layouts than the package: breadth-first reachability instead of
-DFS, a dense two-phase tableau simplex instead of HiGHS, memoized
-recursion instead of iterative DP, character-level scanning instead of
-token matching. Slow and simple on purpose.
+DFS, a dense two-phase tableau simplex instead of a network simplex on
+the transport tree, memoized recursion instead of iterative DP,
+character-level scanning instead of token matching. Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
@@ -204,3 +205,16 @@ def transport_bruteforce(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> flo
         if var < nv:
             x[var] = tab2[i, -1]
     return float(costs.ravel() @ x)
+
+
+def relaxed_transport(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
+    """Lower bound on the transport cost: the larger one-sided relaxation.
+
+    Dropping the column constraints lets every row ship to its nearest
+    column, and dropping the row constraints lets every column receive
+    from its nearest row; neither can cost more than the optimum.
+    """
+    n, m = len(a), len(b)
+    rows_only = sum(a[i] * min(costs[i][j] for j in range(m)) for i in range(n))
+    cols_only = sum(b[j] * min(costs[i][j] for i in range(n)) for j in range(m))
+    return float(max(rows_only, cols_only))

@@ -1,4 +1,4 @@
-"""Truncated, inconsistent and non-UTF-8 input files end in exit 2.
+"""Truncated, inconsistent, mistyped and non-UTF-8 input files end in exit 2.
 
 Every case runs through ``cli.main``: a reader that lets a low-level
 error escape shows up here as a raised exception or an exit code other
@@ -134,9 +134,32 @@ class TestIndexFile:
 class TestJsonlFile:
     @pytest.mark.parametrize(
         "line,message",
-        [(b'{"id": "p0", "text": "caf\xe9"}', "invalid UTF-8"), (b"[1, 2]", "JSON object")],
+        [
+            (b'{"id": "p0", "text": "caf\xe9"}', "invalid UTF-8"),
+            (b"[1, 2]", "JSON object"),
+            (b'{"id": "p0", "text": 5}', "must be a string"),
+        ],
     )
     def test_bad_passage_line(self, capsys, workspace, index_bytes, line, message):
         (workspace / "p.jsonl").write_bytes(b'{"id": "p1", "text": "x"}\n' + line + b"\n")
         code, err = run_cli(capsys, *retrieve_argv(workspace, workspace / "index.bin"))
         assert code == 2 and message in err and "line 2" in err
+
+    def test_query_text_not_a_string(self, capsys, workspace, index_bytes):
+        (workspace / "q.jsonl").write_text('{"id": "q0", "text": ["solar", "power"]}\n')
+        code, err = run_cli(capsys, *retrieve_argv(workspace, workspace / "index.bin"))
+        assert code == 2 and "must be a string" in err and "line 1" in err
+
+
+class TestTextFile:
+    def test_kg_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes(b"solar\tisa\tpanel\nwind\tisa\t\xff\n")
+        code, err = run_cli(capsys, "kg", "stats", path)
+        assert code == 2 and "invalid UTF-8" in err and "line 2" in err
+
+    def test_config_not_utf8(self, capsys, workspace, index_bytes):
+        config = workspace / "run.cfg"
+        config.write_bytes(b"top_k = 3\n# \xff\n")
+        code, err = run_cli(capsys, "--config", config, *retrieve_argv(workspace, workspace / "index.bin"))
+        assert code == 2 and "invalid UTF-8" in err and "line 2" in err
