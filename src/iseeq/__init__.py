@@ -21,6 +21,7 @@ from .kpr import (
     retrieve,
 )
 from .losses import (
+    BatchScores,
     EntailmentLabel,
     EntailmentRecord,
     LossBatch,
@@ -33,8 +34,9 @@ from .losses import (
     lcs_len,
     rce_loss,
     reward,
+    score_batch,
 )
-from .metrics import MetricReport, lc_score, sr_score
+from .metrics import MetricReport, evaluate, lc_score, sr_score
 from .sitq import Candidate, SitqIndex, build_index, load_index, query, save_index
 from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query, extract_entities
 from .wmd import cost_matrix, soft_match, wmd_exact

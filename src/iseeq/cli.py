@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kpr, losses, metrics, sitq
 from .config import RunConfig, setting_type
-from .embeddings import TokenDoc, VectorStore, build_token_doc, load_vectors, read_jsonl
+from .embeddings import TokenDoc, VectorStore, build_token_doc, load_vectors, read_jsonl, typed_field
 from .errors import DataError, EmptyInputError, IseeqError, ParseError
 from .kg import canonical_entity, load_kg
 from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query
@@ -45,19 +45,12 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _text_field(record: dict, path: str | Path, line_no: int) -> str:
-    text = record["text"]
-    if not isinstance(text, str):
-        raise ParseError(f"{path}: 'text' must be a string, not {type(text).__name__}", line_no)
-    return text
-
-
 def _read_queries(path: str | Path) -> list[QueryDescription]:
     queries = []
     for line_no, record in read_jsonl(path):
         try:
             kind = QueryKind(record.get("kind", "description_only"))
-            text = _text_field(record, path, line_no)
+            text = typed_field(record, "text", str, path, line_no)
             queries.append(QueryDescription(id=str(record["id"]), text=text, kind=kind))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: bad query record: {exc}", line_no) from exc
@@ -70,7 +63,8 @@ def _read_passages(path: str | Path) -> list[kpr.Passage]:
     passages = []
     for line_no, record in read_jsonl(path):
         try:
-            passages.append(kpr.Passage(id=str(record["id"]), text=_text_field(record, path, line_no)))
+            text = typed_field(record, "text", str, path, line_no)
+            passages.append(kpr.Passage(id=str(record["id"]), text=text))
         except KeyError as exc:
             raise ParseError(f"{path}: passage record missing {exc}", line_no) from exc
     if not passages:
@@ -361,29 +355,21 @@ def cmd_score_losses(args) -> int:
     reward_cfg = losses.RewardConfig(alpha=cfg.alpha, gamma=cfg.gamma)
     lookup = load_vectors(args.vectors) if args.vectors else None
     batch = losses.load_loss_batch(args.batch, lookup=lookup, clamp_probs=args.clamp_probs)
+    scores = losses.score_batch(batch, reward_cfg)
     steps = [
-        {
-            "index": i,
-            "reward": losses.reward(pair, reward_cfg),
-            "indicator": losses.indicator(pair.reference, pair.generated),
-            "gen_prob": pair.gen_prob,
-        }
-        for i, pair in enumerate(batch.pairs)
+        {"index": i, "reward": r, "indicator": ind, "gen_prob": pair.gen_prob}
+        for i, (pair, r, ind) in enumerate(zip(batch.pairs, scores.rewards, scores.indicators))
     ]
     erl = [
-        {
-            "index": i,
-            "label": record.label.value,
-            "loss": losses.erl_step_loss(batch, i, reward_cfg),
-        }
-        for i, record in enumerate(batch.entailments)
+        {"index": i, "label": record.label.value, "loss": loss}
+        for i, (record, loss) in enumerate(zip(batch.entailments, scores.erl))
     ]
     _print_json(
         {
             "alpha": reward_cfg.alpha,
             "gamma": reward_cfg.gamma,
-            "ce": losses.ce_loss(batch, reward_cfg),
-            "rce": losses.rce_loss(batch, reward_cfg),
+            "ce": scores.ce,
+            "rce": scores.rce,
             "steps": steps,
             "erl": erl,
         }
@@ -391,38 +377,20 @@ def cmd_score_losses(args) -> int:
     return 0
 
 
+def _read_by_query(path: str | Path, key: str, kind) -> list[tuple[str, object]]:
+    """``(query id, record[key])`` per line; a record without ``query_id`` counts as "all"."""
+    return [
+        (str(record.get("query_id", "all")), typed_field(record, key, kind, path, line_no))
+        for line_no, record in read_jsonl(path)
+    ]
+
+
 def cmd_evaluate(args) -> int:
-    score_records = [r for _, r in read_jsonl(args.sr)] if args.sr else []
-    label_records = [r for _, r in read_jsonl(args.lc)] if args.lc else []
-    if not score_records and not label_records:
+    if not args.sr and not args.lc:
         raise UsageError("evaluate needs --sr and/or --lc")
-    by_query: dict[str, dict[str, list]] = {}
-    for record in score_records:
-        qid = str(record.get("query_id", "all"))
-        by_query.setdefault(qid, {"scores": [], "labels": []})["scores"].append(
-            float(record["score"])
-        )
-    for record in label_records:
-        qid = str(record.get("query_id", "all"))
-        by_query.setdefault(qid, {"scores": [], "labels": []})["labels"].append(
-            str(record["label"])
-        )
-    all_scores = [s for group in by_query.values() for s in group["scores"]]
-    all_labels = [l for group in by_query.values() for l in group["labels"]]
-    report = metrics.MetricReport(
-        sr=float(np.mean(all_scores)) if all_scores else 0.0,
-        lc_percent=metrics.lc_score(all_labels),
-        n_pairs=len(all_labels),
-        per_query=[
-            (
-                qid,
-                float(np.mean(group["scores"])) if group["scores"] else 0.0,
-                metrics.lc_score(group["labels"]),
-            )
-            for qid, group in sorted(by_query.items())
-        ],
-    )
-    _print_json(report.to_dict())
+    score_records = _read_by_query(args.sr, "score", float) if args.sr else []
+    label_records = _read_by_query(args.lc, "label", str) if args.lc else []
+    _print_json(metrics.evaluate(score_records, label_records).to_dict())
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,18 +77,55 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, record)`` for each non-blank line of a JSONL file.
 
     A line that is not UTF-8 or not a JSON object raises
-    :class:`ParseError`; callers check the fields.
+    :class:`ParseError`; callers check the fields with :func:`typed_field`.
     """
     for line_no, line in read_lines(path):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"{path}: {exc}", line_no) from exc
         if not isinstance(record, dict):
             raise ParseError(f"{path}: expected a JSON object", line_no)
         yield line_no, record
+
+
+_REQUIRED = object()
+
+
+def typed_field(record: dict, key: str, kind, path: str | Path, line_no: int, default=_REQUIRED):
+    """``record[key]`` checked against ``kind``, for a record of :func:`read_jsonl`.
+
+    ``kind`` is ``str``, ``list[str]`` or ``float``: a real, finite JSON
+    number that is not a bool, returned as a float. A missing key
+    returns ``default`` when one is given. Anything else raises
+    :class:`ParseError` with path and line.
+    """
+    if key not in record:
+        if default is _REQUIRED:
+            raise ParseError(f"{path}: missing '{key}'", line_no)
+        return default
+    value = record[key]
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ParseError(f"{path}: '{key}' must be a string, not {type(value).__name__}", line_no)
+    if kind == list[str]:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return value
+        raise ParseError(f"{path}: '{key}' must be a list of strings", line_no)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{path}: '{key}' must be a number, not {type(value).__name__}", line_no)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ParseError(f"{path}: '{key}' must be a finite number, not {number!r}", line_no)
+        return number
+    raise TypeError(f"unsupported field kind {kind!r}")
 
 
 def read_exact(fh: BinaryIO, n: int, origin: str | Path) -> bytes:
@@ -221,6 +259,6 @@ def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> Toke
         raise EmptyInputError(f"doc {doc_id}: no tokens with vectors")
     kept = list(counts)
     total = sum(counts.values())
-    vectors = np.vstack([lookup.row(t) for t in kept])
+    vectors = lookup.matrix[[lookup.row_index(t) for t in kept]]
     weights = np.array([counts[t] / total for t in kept], dtype=np.float64)
     return TokenDoc(doc_id=doc_id, tokens=kept, vectors=vectors, weights=weights)

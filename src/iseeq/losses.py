@@ -5,6 +5,11 @@ soft semantic match, the reward-scaled cross-entropy batch loss, its
 reverse variant, the entailment-conditioned step loss, and the epoch
 EMA update. Generation probabilities and entailment labels arrive as
 data; there is no autodiff here.
+
+:func:`score_batch` scores a batch in one pass: each pair's reward and
+indicator once, then CE, RCE and every ERL step from them.
+:func:`ce_loss`, :func:`rce_loss` and :func:`erl_step_loss` are views
+of its result.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import TokenDoc, VectorStore, build_token_doc, read_jsonl
+from .embeddings import TokenDoc, VectorStore, build_token_doc, read_jsonl, typed_field
 from .errors import DataError, EmptyInputError, ParseError
 from .wmd import soft_match
 
@@ -119,47 +124,65 @@ def indicator(a: list[str], b: list[str]) -> float:
     return matches / longest
 
 
-def ce_loss(batch: LossBatch, cfg: RewardConfig) -> float:
-    """Reward- and indicator-scaled cross entropy, averaged over the batch."""
+@dataclass(frozen=True)
+class BatchScores:
+    """Every value of one loss batch, from one pass over its pairs."""
+
+    rewards: list[float]  # one per pair
+    indicators: list[float]  # one per pair: indicator(reference, generated)
+    ce: float
+    rce: float
+    erl: list[float]  # one per entailment record
+
+
+def score_batch(batch: LossBatch, cfg: RewardConfig) -> BatchScores:
+    """Score each pair once; CE, RCE and every ERL step follow from that.
+
+    CE is the reward- and indicator-scaled cross entropy and RCE its
+    reverse (raw probability, complemented indicator), both averaged
+    over the batch; their sums run left to right over the pairs. An
+    ERL step depends on the batch only through CE or RCE: entailed
+    steps pay CE minus the entailment probability, every other label
+    pays RCE minus its complement.
+    """
     if not batch.pairs:
         raise ValueError("empty loss batch")
-    total = 0.0
+    rewards: list[float] = []
+    indicators: list[float] = []
+    ce_total = rce_total = 0.0
     for pair in batch.pairs:
-        total += (
-            reward(pair, cfg)
-            * indicator(pair.reference, pair.generated)
-            * math.log(pair.gen_prob)
-        )
-    return -total / len(batch.pairs)
+        r = reward(pair, cfg)
+        ind = indicator(pair.reference, pair.generated)
+        ce_total += r * ind * math.log(pair.gen_prob)
+        rce_total += r * (1.0 - ind) * pair.gen_prob
+        rewards.append(r)
+        indicators.append(ind)
+    ce = -ce_total / len(batch.pairs)
+    rce = -rce_total / len(batch.pairs)
+    erl = [
+        ce - record.prob
+        if record.label is EntailmentLabel.ENTAILMENT
+        else rce - (1.0 - record.prob)
+        for record in batch.entailments
+    ]
+    return BatchScores(rewards, indicators, ce, rce, erl)
+
+
+def ce_loss(batch: LossBatch, cfg: RewardConfig) -> float:
+    """The batch CE of :func:`score_batch`."""
+    return score_batch(batch, cfg).ce
 
 
 def rce_loss(batch: LossBatch, cfg: RewardConfig) -> float:
-    """Reverse cross entropy: raw probabilities, complemented indicator."""
-    if not batch.pairs:
-        raise ValueError("empty loss batch")
-    total = 0.0
-    for pair in batch.pairs:
-        total += (
-            reward(pair, cfg)
-            * (1.0 - indicator(pair.reference, pair.generated))
-            * pair.gen_prob
-        )
-    return -total / len(batch.pairs)
+    """The batch RCE of :func:`score_batch`."""
+    return score_batch(batch, cfg).rce
 
 
 def erl_step_loss(batch: LossBatch, i: int, cfg: RewardConfig) -> float:
-    """Entailment-conditioned loss for consecutive generated questions.
-
-    The branch depends only on the label: entailed steps pay CE minus
-    the entailment probability, everything else pays RCE minus the
-    complement.
-    """
+    """The ERL loss of step ``i`` (question ``i`` to ``i + 1``) of :func:`score_batch`."""
     if not 0 <= i < len(batch.entailments):
         raise IndexError(f"entailment index {i} out of range")
-    record = batch.entailments[i]
-    if record.label is EntailmentLabel.ENTAILMENT:
-        return ce_loss(batch, cfg) - record.prob
-    return rce_loss(batch, cfg) - (1.0 - record.prob)
+    return score_batch(batch, cfg).erl[i]
 
 
 def ema_update(prev_epoch_loss: float, batch_loss: float, cfg: RewardConfig) -> float:
@@ -183,6 +206,19 @@ def _one_hot_lookup(records: list[dict]) -> VectorStore:
     return VectorStore(vocab, np.eye(len(vocab), dtype=np.float32))
 
 
+def _read_batch_record(record: dict, path: str | Path, line_no: int) -> dict:
+    """The typed fields of one batch line; the entailment fields may be ``None``."""
+    fields = {"line": line_no}
+    for key in ("generated", "reference"):
+        fields[key] = typed_field(record, key, list[str], path, line_no)
+        if not fields[key]:
+            raise ParseError(f"{path}: '{key}' must not be empty", line_no)
+    fields["gen_prob"] = typed_field(record, "gen_prob", float, path, line_no)
+    fields["entail_label"] = typed_field(record, "entail_label", str, path, line_no, default=None)
+    fields["entail_prob"] = typed_field(record, "entail_prob", float, path, line_no, default=None)
+    return fields
+
+
 def load_loss_batch(
     path: str | Path,
     lookup: VectorStore | None = None,
@@ -194,47 +230,37 @@ def load_loss_batch(
     ``gen_prob``; all but the last also carry ``entail_label`` and
     ``entail_prob`` for the step to the next generated question. With
     ``clamp_probs``, zero probabilities are floored at 1e-12 instead of
-    rejected.
+    rejected. A bad record raises :class:`ParseError` with its line.
     """
-    records: list[dict] = []
-    for line_no, record in read_jsonl(path):
-        try:
-            record["generated"] = [str(t) for t in record["generated"]]
-            record["reference"] = [str(t) for t in record["reference"]]
-            record["gen_prob"] = float(record["gen_prob"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}", line_no) from exc
-        records.append(record)
+    records = [_read_batch_record(record, path, line_no) for line_no, record in read_jsonl(path)]
     if not records:
         raise EmptyInputError(f"{path}: empty batch")
     if lookup is None:
         lookup = _one_hot_lookup(records)
 
     pairs: list[QuestionPair] = []
+    entailments: list[EntailmentRecord] = []
     for i, record in enumerate(records):
         prob = record["gen_prob"]
         if clamp_probs and prob < PROB_FLOOR:
             prob = PROB_FLOOR
-        pairs.append(
-            QuestionPair(
-                generated=record["generated"],
-                reference=record["reference"],
-                generated_doc=build_token_doc(f"gen{i}", record["generated"], lookup),
-                reference_doc=build_token_doc(f"ref{i}", record["reference"], lookup),
-                gen_prob=prob,
-            )
-        )
-    entailments: list[EntailmentRecord] = []
-    for i, record in enumerate(records[:-1]):
-        label = record.get("entail_label")
-        prob = record.get("entail_prob")
-        if label is None or prob is None:
-            raise DataError(
-                f"{path}: record {i} needs entail_label/entail_prob "
-                "(only the last record may omit them)"
-            )
         try:
-            entailments.append(EntailmentRecord(EntailmentLabel(label), float(prob)))
-        except ValueError as exc:
-            raise DataError(f"{path}: record {i}: {exc}") from exc
+            pairs.append(
+                QuestionPair(
+                    generated=record["generated"],
+                    reference=record["reference"],
+                    generated_doc=build_token_doc(f"gen{i}", record["generated"], lookup),
+                    reference_doc=build_token_doc(f"ref{i}", record["reference"], lookup),
+                    gen_prob=prob,
+                )
+            )
+            if i < len(records) - 1:
+                label, entail_prob = record["entail_label"], record["entail_prob"]
+                if label is None or entail_prob is None:
+                    raise DataError(
+                        "needs entail_label and entail_prob (only the last record may omit them)"
+                    )
+                entailments.append(EntailmentRecord(EntailmentLabel(label), entail_prob))
+        except (DataError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}", record["line"]) from exc
     return LossBatch(pairs=pairs, entailments=entailments)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, EmptyInputError
 
 
 @dataclass
@@ -71,3 +71,37 @@ def lc_score(labels: list[str]) -> float:
         return 0.0
     hits = sum(1 for label in labels if label == "entailment")
     return 100.0 * hits / len(labels)
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
+
+
+def evaluate(
+    score_records: list[tuple[str, float]], label_records: list[tuple[str, str]]
+) -> MetricReport:
+    """SR and LC overall and per query from ``(query id, score)`` and
+    ``(query id, label)`` records.
+
+    Records are grouped by query in first-seen order, scores before
+    labels; the overall SR averages the scores in that grouped order.
+    ``per_query`` is sorted by query id.
+    """
+    if not score_records and not label_records:
+        raise EmptyInputError("no pair scores or labels to evaluate")
+    by_query: dict[str, tuple[list[float], list[str]]] = {}
+    for qid, score in score_records:
+        by_query.setdefault(qid, ([], []))[0].append(score)
+    for qid, label in label_records:
+        by_query.setdefault(qid, ([], []))[1].append(label)
+    all_scores = [s for scores, _ in by_query.values() for s in scores]
+    all_labels = [l for _, labels in by_query.values() for l in labels]
+    return MetricReport(
+        sr=_mean(all_scores),
+        lc_percent=lc_score(all_labels),
+        n_pairs=len(all_labels),
+        per_query=[
+            (qid, _mean(scores), lc_score(labels))
+            for qid, (scores, labels) in sorted(by_query.items())
+        ],
+    )

@@ -13,7 +13,6 @@ matters rather than a full transport plan.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .embeddings import TokenDoc
 from .errors import DataError, EmptyInputError, IseeqError
@@ -31,6 +30,9 @@ def _check_pair(a: TokenDoc, b: TokenDoc) -> None:
 
 def cost_matrix(a: TokenDoc, b: TokenDoc) -> np.ndarray:
     """Pairwise Euclidean distances between token vectors, float64."""
+    # Imported here: scipy.spatial adds about 35 MB of RSS, and only WMD needs it.
+    from scipy.spatial.distance import cdist
+
     _check_pair(a, b)
     return cdist(a.vectors.astype(np.float64), b.vectors.astype(np.float64))
 

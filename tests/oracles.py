@@ -4,12 +4,13 @@ Everything here is deliberately written with different algorithms and
 data layouts than the package: breadth-first reachability instead of
 DFS, a dense two-phase tableau simplex instead of a network simplex on
 the transport tree, memoized recursion instead of iterative DP,
-character-level scanning instead of token matching. Slow and simple on
-purpose.
+character-level scanning instead of token matching, and a batch rescored
+for every loss step instead of one pass. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from functools import lru_cache
@@ -110,6 +111,33 @@ def soft_match_loops(a_tokens_vecs, a_weights, b_tokens_vecs) -> float:
             best = max(best, float(va @ vb))
         total += w * best
     return total
+
+
+def ce_loop(batch, cfg, reward, indicator) -> float:
+    """Batch CE by its own loop over the pairs, each pair rescored."""
+    total = 0.0
+    for pair in batch.pairs:
+        total += reward(pair, cfg) * indicator(pair.reference, pair.generated) * math.log(pair.gen_prob)
+    return -total / len(batch.pairs)
+
+
+def rce_loop(batch, cfg, reward, indicator) -> float:
+    """Batch RCE by its own loop over the pairs, each pair rescored."""
+    total = 0.0
+    for pair in batch.pairs:
+        total += reward(pair, cfg) * (1.0 - indicator(pair.reference, pair.generated)) * pair.gen_prob
+    return -total / len(batch.pairs)
+
+
+def erl_loops(batch, cfg, reward, indicator) -> list[float]:
+    """Every ERL step with the whole batch's CE or RCE recomputed per step:
+    n^2 + 2n reward calls for n pairs."""
+    return [
+        ce_loop(batch, cfg, reward, indicator) - record.prob
+        if record.label.value == "entailment"
+        else rce_loop(batch, cfg, reward, indicator) - (1.0 - record.prob)
+        for record in batch.entailments
+    ]
 
 
 # ------------------------------------------------------------ dense LP

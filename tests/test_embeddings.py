@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from iseeq.embeddings import TokenDoc, build_token_doc, load_vectors, save_vectors
+from iseeq.embeddings import TokenDoc, build_token_doc, load_vectors, save_vectors, typed_field
 from iseeq.errors import DataError, EmptyInputError, ParseError
 
 from conftest import make_store
@@ -106,3 +106,43 @@ class TestTokenDoc:
         store = make_store(["a"], [[1.0]])
         with pytest.raises(EmptyInputError):
             build_token_doc("d", ["x", "y"], store)
+
+    def test_vectors_are_the_lookup_rows(self):
+        store = make_store(["a", "b", "c"], np.arange(6, dtype=np.float32).reshape(3, 2))
+        doc = build_token_doc("d", ["c", "a", "c"], store)
+        assert doc.tokens == ["c", "a"] and doc.vectors.dtype == np.float32
+        assert np.array_equal(doc.vectors, np.vstack([store.row("c"), store.row("a")]))
+
+
+class TestTypedField:
+    RECORD = {"s": "x", "toks": ["a", "b"], "i": 3, "f": 0.5, "b": True, "big": 10**400,
+              "nan": float("nan"), "mixed": ["a", 1]}
+
+    def get(self, key, kind, **kw):
+        return typed_field(self.RECORD, key, kind, "f.jsonl", 7, **kw)
+
+    def test_accepted(self):
+        assert self.get("s", str) == "x"
+        assert self.get("toks", list[str]) == ["a", "b"]
+        assert self.get("f", float) == 0.5
+        value = self.get("i", float)
+        assert value == 3.0 and type(value) is float
+        assert self.get("absent", float, default=None) is None
+
+    @pytest.mark.parametrize(
+        "key,kind,message",
+        [
+            ("absent", str, "missing 'absent'"),
+            ("i", str, "'i' must be a string, not int"),
+            ("s", list[str], "'s' must be a list of strings"),
+            ("mixed", list[str], "'mixed' must be a list of strings"),
+            ("b", float, "'b' must be a number, not bool"),
+            ("s", float, "'s' must be a number, not str"),
+            ("nan", float, "'nan' must be a finite number, not nan"),
+            ("big", float, "'big' must be a finite number, not inf"),
+        ],
+    )
+    def test_rejected_with_path_and_line(self, key, kind, message):
+        with pytest.raises(ParseError, match=message) as info:
+            self.get(key, kind)
+        assert info.value.line_no == 7 and "f.jsonl" in str(info.value)

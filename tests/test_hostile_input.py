@@ -5,11 +5,16 @@ error escape shows up here as a raised exception or an exit code other
 than 2.
 """
 
+import contextlib
+import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iseeq.cli import main
 from iseeq.embeddings import save_vectors
@@ -18,9 +23,37 @@ from iseeq.sitq import build_index, save_index
 from conftest import make_store
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     return code, capsys.readouterr().err
+
+
+def exit_code(*argv) -> int:
+    """``cli.main``'s exit code, its stdout and stderr discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+# Truncate a valid file, then overwrite up to three bytes, each either
+# any byte or one that JSON gives meaning to.
+CUTS = st.floats(min_value=0.0, max_value=1.0)
+EDITS = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1.0),
+              st.one_of(st.integers(0, 255), st.sampled_from(b'"[]{},:.-+e0123456789tfnN \n'))),
+    max_size=3,
+)
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def damaged(data: bytes, cut: float, edits: list[tuple[float, int]]) -> bytes:
+    out = bytearray(data[: round(cut * len(data))])
+    for where, byte in edits:
+        if out:
+            out[min(int(where * len(out)), len(out) - 1)] = byte
+    return bytes(out)
 
 
 @pytest.fixture
@@ -163,3 +196,57 @@ class TestTextFile:
         config.write_bytes(b"top_k = 3\n# \xff\n")
         code, err = run_cli(capsys, "--config", config, *retrieve_argv(workspace, workspace / "index.bin"))
         assert code == 2 and "invalid UTF-8" in err and "line 2" in err
+
+
+class TestLossBatchFile:
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"generated": "what is it", "reference": ["what", "is", "it"], "gen_prob": 0.5},
+             "'generated' must be a list of strings"),
+            ({"generated": ["a"], "reference": ["a"], "gen_prob": True}, "'gen_prob' must be a number"),
+        ],
+    )
+    def test_mistyped_field(self, capsys, tmp_path, record, message):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        code, err = run_cli(capsys, "score-losses", "--batch", path)
+        assert code == 2 and message in err and "line 1" in err and str(path) in err
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, tmp_path, cut, edits):
+        path = tmp_path / "batch.jsonl"
+        path.write_bytes(damaged((GOLDEN / "loss_batch.jsonl").read_bytes(), cut, edits))
+        assert exit_code("score-losses", "--batch", path) in (0, 2)
+
+
+class TestEvaluateFiles:
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"score": "x", "query_id": "q0"}', "'score' must be a number, not str"),
+            ('{"score": NaN, "query_id": "q0"}', "'score' must be a finite number, not nan"),
+            ('{"gen_id": "g0", "query_id": "q0"}', "missing 'score'"),
+        ],
+    )
+    def test_bad_score(self, capsys, tmp_path, line, message):
+        path = tmp_path / "sr.jsonl"
+        path.write_text('{"score": 0.5}\n' + line + "\n")
+        code, err = run_cli(capsys, "evaluate", "--sr", path, "--lc", GOLDEN / "pair_labels.jsonl")
+        assert code == 2 and message in err and "line 2" in err and str(path) in err
+
+    def test_empty_inputs(self, capsys, tmp_path):
+        path = tmp_path / "sr.jsonl"
+        path.write_text("\n")
+        code, err = run_cli(capsys, "evaluate", "--sr", path)
+        assert code == 2 and "no pair scores or labels" in err
+
+    @FUZZ
+    @given(which=st.sampled_from(["sr", "lc"]), cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, tmp_path, which, cut, edits):
+        files = {"sr": GOLDEN / "pair_scores.jsonl", "lc": GOLDEN / "pair_labels.jsonl"}
+        path = tmp_path / f"{which}.jsonl"
+        path.write_bytes(damaged(files[which].read_bytes(), cut, edits))
+        files[which] = path
+        assert exit_code("evaluate", "--sr", files["sr"], "--lc", files["lc"]) in (0, 2)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iseeq.embeddings import TokenDoc
-from iseeq.errors import DataError
+from iseeq import losses as losses_module
+from iseeq.cli import main
+from iseeq.embeddings import TokenDoc, VectorStore
+from iseeq.errors import DataError, ParseError
 from iseeq.losses import (
     EntailmentLabel,
     EntailmentRecord,
@@ -22,9 +24,10 @@ from iseeq.losses import (
     load_loss_batch,
     rce_loss,
     reward,
+    score_batch,
 )
 
-from oracles import lcs_recursive
+from oracles import ce_loop, erl_loops, lcs_recursive, rce_loop
 
 ALPHA = 0.1971
 GAMMA = 0.12
@@ -240,6 +243,75 @@ class TestErl:
             LossBatch(pairs=[pair_from(["a"], ["a"], ORTHO, 0.5)] * 3, entailments=[])
 
 
+VOCAB = [f"w{i}" for i in range(12)]
+
+
+def write_seeded_batch(path, seed, n, label=None):
+    """``n`` random pairs over VOCAB; every step gets ``label``, or a random one."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        reference = [VOCAB[j] for j in rng.integers(len(VOCAB), size=int(rng.integers(1, 9)))]
+        generated = [t if rng.random() < 0.6 else VOCAB[int(rng.integers(len(VOCAB)))] for t in reference]
+        generated += [VOCAB[j] for j in rng.integers(len(VOCAB), size=int(rng.integers(0, 3)))]
+        record = {"generated": generated, "reference": reference, "gen_prob": float(rng.uniform(0.01, 1.0))}
+        if i < n - 1:
+            record["entail_label"] = label or [l.value for l in EntailmentLabel][int(rng.integers(3))]
+            record["entail_prob"] = float(rng.uniform(0.0, 1.0))
+        records.append(record)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize(
+        "seed,n,label,vectors",
+        [
+            (1, 9, None, False),
+            (2, 9, None, True),
+            (3, 7, "entailment", True),
+            (4, 7, "contradiction", False),
+            (5, 1, None, True),  # one pair, no entailment records
+        ],
+    )
+    def test_equals_per_loss_loops(self, tmp_path, seed, n, label, vectors):
+        path = write_seeded_batch(tmp_path / "batch.jsonl", seed, n, label)
+        lookup = None
+        if vectors:
+            matrix = np.random.default_rng(seed).standard_normal((len(VOCAB), 5)).astype(np.float32)
+            lookup = VectorStore(list(VOCAB), matrix)
+        batch = load_loss_batch(path, lookup=lookup)
+        scores = score_batch(batch, CFG)
+        assert scores.rewards == [reward(p, CFG) for p in batch.pairs]
+        assert scores.indicators == [indicator(p.reference, p.generated) for p in batch.pairs]
+        assert scores.ce == ce_loop(batch, CFG, reward, indicator) == ce_loss(batch, CFG)
+        assert scores.rce == rce_loop(batch, CFG, reward, indicator) == rce_loss(batch, CFG)
+        assert scores.erl == erl_loops(batch, CFG, reward, indicator)
+        assert scores.erl == [erl_step_loss(batch, i, CFG) for i in range(n - 1)]
+
+    def test_empty_batch_errors(self):
+        batch = LossBatch(pairs=[])
+        for loss in (score_batch, ce_loss, rce_loss):
+            with pytest.raises(ValueError, match="empty loss batch"):
+                loss(batch, CFG)
+        with pytest.raises(IndexError):
+            erl_step_loss(batch, 0, CFG)
+
+    def test_cli_scores_each_pair_once(self, tmp_path, monkeypatch, capsys):
+        path = write_seeded_batch(tmp_path / "batch.jsonl", 6, 11)
+        calls = []
+        real = losses_module.reward
+
+        def counting(pair, cfg):
+            calls.append(pair)
+            return real(pair, cfg)
+
+        monkeypatch.setattr(losses_module, "reward", counting)
+        assert main(["score-losses", "--batch", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["steps"]) == 11
+        assert len(calls) == 11
+
+
 class TestEma:
     def test_gamma_zero(self):
         assert ema_update(5.0, 2.0, RewardConfig(alpha=ALPHA, gamma=0.0)) == 2.0
@@ -314,6 +386,36 @@ class TestBatchLoader:
             load_loss_batch(path)
         batch = load_loss_batch(path, clamp_probs=True)
         assert batch.pairs[0].gen_prob == 1e-12
+
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"generated": "what is it", "reference": ["what"], "gen_prob": 0.5}, "list of strings"),
+            ({"generated": ["a", 1], "reference": ["a"], "gen_prob": 0.5}, "list of strings"),
+            ({"generated": [], "reference": ["a"], "gen_prob": 0.5}, "must not be empty"),
+            ({"generated": ["a"], "reference": ["a"], "gen_prob": True}, "not bool"),
+            ({"generated": ["a"], "reference": ["a"], "gen_prob": "0.5"}, "not str"),
+            ({"generated": ["a"], "reference": ["a"]}, "missing 'gen_prob'"),
+        ],
+    )
+    def test_bad_field_names_line(self, tmp_path, record, message):
+        first = {"generated": ["a"], "reference": ["a"], "gen_prob": 0.5,
+                 "entail_label": "neutral", "entail_prob": 0.5}
+        path = self.write(tmp_path, [first, record])
+        with pytest.raises(ParseError, match=message) as info:
+            load_loss_batch(path)
+        assert info.value.line_no == 2 and str(path) in str(info.value)
+
+    def test_non_finite_entail_prob(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(
+            '{"generated": ["a"], "reference": ["a"], "gen_prob": 0.5,'
+            ' "entail_label": "neutral", "entail_prob": NaN}\n'
+            '{"generated": ["a"], "reference": ["a"], "gen_prob": 0.5}\n'
+        )
+        with pytest.raises(ParseError, match="finite number, not nan"):
+            load_loss_batch(path)
 
 
 class TestConfig:
