@@ -36,7 +36,7 @@ from .losses import (
     reward,
     score_batch,
 )
-from .metrics import MetricReport, evaluate, lc_score, sr_score
+from .metrics import MetricReport, evaluate, lc_score
 from .sitq import Candidate, SitqIndex, build_index, load_index, query, save_index
 from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query, extract_entities
 from .wmd import cost_matrix, soft_match, wmd_exact

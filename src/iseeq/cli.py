@@ -18,16 +18,15 @@ import logging
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
 from . import kpr, losses, metrics, sitq
 from .config import RunConfig, setting_type
-from .embeddings import TokenDoc, VectorStore, build_token_doc, load_vectors, read_jsonl, typed_field
-from .errors import DataError, EmptyInputError, IseeqError, ParseError
-from .kg import canonical_entity, load_kg
-from .sqe import ExpandedQuery, QueryDescription, QueryKind, expand_query
+from .embeddings import build_token_doc, load_token_docs, load_vectors
+from .errors import DataError, EmptyInputError, IseeqError
+from .kg import load_kg
+from .sqe import ExpandedQuery, expand_query, load_phrases, load_queries, resolve_phrases
 
 logger = logging.getLogger("iseeq")
 
@@ -45,52 +44,14 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _read_queries(path: str | Path) -> list[QueryDescription]:
-    queries = []
-    for line_no, record in read_jsonl(path):
-        try:
-            kind = QueryKind(record.get("kind", "description_only"))
-            text = typed_field(record, "text", str, path, line_no)
-            queries.append(QueryDescription(id=str(record["id"]), text=text, kind=kind))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{path}: bad query record: {exc}", line_no) from exc
-    if not queries:
-        raise EmptyInputError(f"{path}: no queries")
-    return queries
-
-
-def _read_passages(path: str | Path) -> list[kpr.Passage]:
-    passages = []
-    for line_no, record in read_jsonl(path):
-        try:
-            text = typed_field(record, "text", str, path, line_no)
-            passages.append(kpr.Passage(id=str(record["id"]), text=text))
-        except KeyError as exc:
-            raise ParseError(f"{path}: passage record missing {exc}", line_no) from exc
-    if not passages:
-        raise EmptyInputError(f"{path}: no passages")
-    return passages
-
-
-def _token_doc_or_none(doc_id: str, text: str, lookup: VectorStore) -> TokenDoc | None:
-    try:
-        return build_token_doc(doc_id, kpr.tokenize_text(text), lookup)
-    except EmptyInputError:
-        logger.warning("no token vectors for %s; WMD falls back to worst score", doc_id)
-        return None
-
-
 def _expand_all(args, kg) -> list[ExpandedQuery]:
-    queries = _read_queries(args.queries)
-    phrase_map: dict[str, list[str]] = {}
-    if getattr(args, "phrases", None):
-        for _, record in read_jsonl(args.phrases):
-            phrase_map[str(record["id"])] = [str(p) for p in record["phrases"]]
+    queries = load_queries(args.queries)
+    phrases = load_phrases(args.phrases) if args.phrases else {}
     out = []
     for query in queries:
         entities = spans = None
-        if query.id in phrase_map:
-            entities, spans = _resolve_phrases(kg, query.text, phrase_map[query.id])
+        if query.id in phrases:
+            entities, spans = resolve_phrases(kg, query.text, phrases[query.id])
         out.append(
             expand_query(
                 kg,
@@ -102,30 +63,6 @@ def _expand_all(args, kg) -> list[ExpandedQuery]:
             )
         )
     return out
-
-
-def _resolve_phrases(kg, text: str, phrases: list[str]):
-    """Map externally extracted phrases onto lexicon entities and spans."""
-    entities, spans = [], []
-    lowered = text.lower()
-    for phrase in phrases:
-        entity = kg.lexicon.get(canonical_entity(phrase))
-        if entity is None:
-            logger.warning("phrase %r not in lexicon; skipped", phrase)
-            continue
-        if entity in entities:
-            continue
-        mention = phrase.lower()
-        start = lowered.find(mention)
-        if start < 0:
-            mention = entity.replace("_", " ")
-            start = lowered.find(mention)
-        if start < 0:
-            logger.warning("phrase %r has no mention in query text; skipped", phrase)
-            continue
-        entities.append(entity)
-        spans.append((start, start + len(mention)))
-    return entities, spans
 
 
 # ---------------------------------------------------------------- commands
@@ -175,10 +112,10 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def _load_retrieval_inputs(args, cfg):
+def _load_retrieval_inputs(args):
     kg = load_kg(args.kg)
     expanded = _expand_all(args, kg)
-    passages = _read_passages(args.passages)
+    passages = kpr.load_passages(args.passages)
     passage_store = load_vectors(args.passage_vectors)
     token_store = load_vectors(args.token_vectors)
     query_store = load_vectors(args.query_vectors)
@@ -186,26 +123,24 @@ def _load_retrieval_inputs(args, cfg):
     passage_table = {p.id: p for p in passages}
     token_docs = {}
     for p in passages:
-        doc = _token_doc_or_none(p.id, p.text, token_store)
-        if doc is not None:
-            token_docs[p.id] = doc
+        try:
+            token_docs[p.id] = build_token_doc(p.id, p.tokens, token_store)
+        except EmptyInputError:
+            logger.warning("no token vectors for %s; WMD falls back to worst score", p.id)
     query_vecs, query_docs = {}, {}
     for eq in expanded:
         qid = eq.source.id
         if qid not in query_store:
             raise DataError(f"query {qid!r} missing from {args.query_vectors}")
         query_vecs[qid] = query_store.row(qid).astype(np.float64)
-        doc = _token_doc_or_none(qid, eq.augmented_text, token_store)
-        if doc is None:
-            raise DataError(f"query {qid!r} has no tokens with vectors")
-        query_docs[qid] = doc
+        query_docs[qid] = build_token_doc(qid, kpr.tokenize_text(eq.augmented_text), token_store)
     return expanded, passages, passage_table, passage_store, token_docs, query_vecs, query_docs
 
 
 def cmd_retrieve(args) -> int:
     cfg = _config(args)
     (expanded, _passages, passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
+     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args)
 
     if args.index:
         index = sitq.load_index(args.index, passage_store)
@@ -249,7 +184,7 @@ def cmd_retrieve(args) -> int:
 def cmd_coverage(args) -> int:
     cfg = _config(args)
     (expanded, passages, _passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
+     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args)
     report = kpr.coverage_loop(
         expanded,
         query_vecs,
@@ -267,61 +202,22 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def _relevance_from_questions(args, cfg) -> tuple[dict[str, set[str]], dict[str, int]]:
-    """Relevance sets from question embeddings: a passage is relevant when
-    any question generated from it clears the cosine cut against any
-    ground-truth question of the query."""
-    gt_vecs: dict[str, list[np.ndarray]] = {}
-    for _, record in read_jsonl(args.gt_question_vecs):
-        gt_vecs.setdefault(str(record["query_id"]), []).append(
-            np.asarray(record["vec"], dtype=np.float64)
-        )
-    relevance: dict[str, set[str]] = {qid: set() for qid in gt_vecs}
-    for _, record in read_jsonl(args.question_vecs):
-        qid = str(record["query_id"])
-        pid = str(record["passage_id"])
-        vec = np.asarray(record["vec"], dtype=np.float64)
-        vec_norm = np.linalg.norm(vec)
-        if vec_norm == 0.0 or qid not in gt_vecs:
-            continue
-        for gt in gt_vecs[qid]:
-            gt_norm = np.linalg.norm(gt)
-            if gt_norm == 0.0:
-                continue
-            if float(vec @ gt) / (vec_norm * gt_norm) > cfg.cosine_relevance:
-                relevance.setdefault(qid, set()).add(pid)
-                break
-    counts = {qid: len(vecs) for qid, vecs in gt_vecs.items()}
-    return relevance, counts
-
-
 def cmd_eval_retriever(args) -> int:
     cfg = _config(args)
-    with Path(args.results).open(encoding="utf-8") as fh:
-        payload = json.load(fh)
-    results = [
-        kpr.RetrievalResult(
-            query_id=r["query_id"],
-            ranked=[(pid, wmd, nes_val) for pid, wmd, nes_val in r["ranked"]],
-            kept=list(r["kept"]),
-        )
-        for r in payload["results"]
-    ]
-    if args.relevance:
-        relevance: dict[str, set[str]] = {}
-        counts: dict[str, int] = {}
-        for _, record in read_jsonl(args.relevance):
-            qid = str(record["query_id"])
-            relevance[qid] = {str(p) for p in record["relevant"]}
-            if "n_questions" in record:
-                counts[qid] = int(record["n_questions"])
-    elif args.question_vecs and args.gt_question_vecs:
-        relevance, counts = _relevance_from_questions(args, cfg)
-    else:
+    ks = [int(k) for k in args.ks.split(",") if k]
+    if any(k < 1 for k in ks):
+        raise UsageError(f"--ks takes integers >= 1, got {args.ks!r}")
+    if not (args.relevance or (args.question_vecs and args.gt_question_vecs)):
         raise UsageError(
             "eval-retriever needs --relevance, or --question-vecs with --gt-question-vecs"
         )
-    ks = [int(k) for k in args.ks.split(",") if k]
+    results = kpr.load_results(args.results)
+    if args.relevance:
+        relevance, counts = kpr.load_relevance(args.relevance)
+    else:
+        relevance, counts = kpr.relevance_from_questions(
+            args.question_vecs, args.gt_question_vecs, cfg.cosine_relevance
+        )
     hr, map_score = kpr.eval_retriever(
         results, relevance, ks, map_k=cfg.top_k, gt_question_counts=counts
     )
@@ -333,14 +229,8 @@ def cmd_wmd(args) -> int:
     from .wmd import wmd_exact
 
     lookup = load_vectors(args.vectors)
-    docs_a = [
-        build_token_doc(str(r["id"]), [str(t) for t in r["tokens"]], lookup)
-        for _, r in read_jsonl(args.docs_a)
-    ]
-    docs_b = [
-        build_token_doc(str(r["id"]), [str(t) for t in r["tokens"]], lookup)
-        for _, r in read_jsonl(args.docs_b)
-    ]
+    docs_a = load_token_docs(args.docs_a, lookup)
+    docs_b = load_token_docs(args.docs_b, lookup)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["id"] + [b.doc_id for b in docs_b])
     for doc_a in docs_a:
@@ -377,19 +267,11 @@ def cmd_score_losses(args) -> int:
     return 0
 
 
-def _read_by_query(path: str | Path, key: str, kind) -> list[tuple[str, object]]:
-    """``(query id, record[key])`` per line; a record without ``query_id`` counts as "all"."""
-    return [
-        (str(record.get("query_id", "all")), typed_field(record, key, kind, path, line_no))
-        for line_no, record in read_jsonl(path)
-    ]
-
-
 def cmd_evaluate(args) -> int:
     if not args.sr and not args.lc:
         raise UsageError("evaluate needs --sr and/or --lc")
-    score_records = _read_by_query(args.sr, "score", float) if args.sr else []
-    label_records = _read_by_query(args.lc, "label", str) if args.lc else []
+    score_records = metrics.load_by_query(args.sr, "score", float) if args.sr else []
+    label_records = metrics.load_by_query(args.lc, "label", str) if args.lc else []
     _print_json(metrics.evaluate(score_records, label_records).to_dict())
     return 0
 
@@ -424,19 +306,21 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="key = value config file")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("kg", parents=[], help="knowledge-graph utilities")
+    p = sub.add_parser("kg", help="knowledge-graph utilities")
     p.add_argument("action", choices=["stats"])
     p.add_argument("path")
     p.add_argument("--strict", action="store_true", help="fail on malformed lines")
     p.set_defaults(func=cmd_kg)
 
-    p = sub.add_parser("expand-query", help="augment queries with KG triples")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--max-hops", type=int, default=2)
-    p.add_argument("--max-triples", type=int, default=8)
-    p.add_argument("--phrases", default=None,
-                   help="JSONL of pre-extracted phrases per query id")
+    query_flags = _Parser(add_help=False)
+    query_flags.add_argument("--kg", required=True)
+    query_flags.add_argument("--queries", required=True)
+    query_flags.add_argument("--max-hops", type=int, default=2)
+    query_flags.add_argument("--max-triples", type=int, default=8)
+    query_flags.add_argument("--phrases", default=None,
+                             help="JSONL of pre-extracted phrases per query id")
+    p = sub.add_parser("expand-query", parents=[query_flags],
+                       help="augment queries with KG triples")
     p.set_defaults(func=cmd_expand_query)
 
     p = sub.add_parser("build-index", help="build and persist the SITQ index")
@@ -446,16 +330,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_index)
 
     for name in ("retrieve", "coverage"):
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("--kg", required=True)
-        p.add_argument("--queries", required=True)
+        p = sub.add_parser(name, parents=[query_flags], help=f"run the {name} pipeline")
         p.add_argument("--passages", required=True)
         p.add_argument("--passage-vectors", required=True)
         p.add_argument("--query-vectors", required=True)
         p.add_argument("--token-vectors", required=True)
-        p.add_argument("--phrases", default=None)
-        p.add_argument("--max-hops", type=int, default=2)
-        p.add_argument("--max-triples", type=int, default=8)
         if name == "retrieve":
             p.add_argument("--index", default=None, help="prebuilt index file")
             p.set_defaults(func=cmd_retrieve)
@@ -470,9 +349,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-retriever", help="hit rate and MAP for retrieval results")
     p.add_argument("--results", required=True, help="JSON output of the retrieve command")
     p.add_argument("--relevance", default=None)
-    p.add_argument("--question-vecs", dest="question_vecs", default=None)
-    p.add_argument("--gt-question-vecs", dest="gt_question_vecs", default=None)
-    p.add_argument("--ks", default="10,20")
+    p.add_argument("--question-vecs", default=None)
+    p.add_argument("--gt-question-vecs", default=None)
+    p.add_argument("--ks", default="10,20", help="comma-separated hit-rate cutoffs, each >= 1")
     _add_config_flags(p, ["top_k", "cosine_relevance"])
     p.set_defaults(func=cmd_eval_retriever)
 
@@ -523,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DataError, OSError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except IseeqError as exc:

@@ -93,39 +93,55 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 _REQUIRED = object()
 
+# kind -> (test, what the value must be), for the kinds typed_field returns as they are
+_SHAPES = {
+    object: (lambda v: True, "any value"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    list: (lambda v: isinstance(v, list), "a list"),
+    list[str]: (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                "a list of strings"),
+}
+
 
 def typed_field(record: dict, key: str, kind, path: str | Path, line_no: int, default=_REQUIRED):
     """``record[key]`` checked against ``kind``, for a record of :func:`read_jsonl`.
 
-    ``kind`` is ``str``, ``list[str]`` or ``float``: a real, finite JSON
-    number that is not a bool, returned as a float. A missing key
-    returns ``default`` when one is given. Anything else raises
-    :class:`ParseError` with path and line.
+    ``kind`` is ``object`` (any value; ids, which callers read with
+    ``str()``), ``str``, ``int`` (not a bool), ``list``, ``list[str]``,
+    ``float`` (a finite JSON number, not a bool, returned as a float) or
+    ``list[float]`` (a flat list of such numbers). A missing key returns
+    ``default`` if given; anything else raises :class:`ParseError` with
+    path and line.
     """
     if key not in record:
         if default is _REQUIRED:
             raise ParseError(f"{path}: missing '{key}'", line_no)
         return default
     value = record[key]
-    if kind is str:
-        if isinstance(value, str):
+    if kind in _SHAPES:
+        test, shape = _SHAPES[kind]
+        if test(value):
             return value
-        raise ParseError(f"{path}: '{key}' must be a string, not {type(value).__name__}", line_no)
-    if kind == list[str]:
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return value
-        raise ParseError(f"{path}: '{key}' must be a list of strings", line_no)
+        raise ParseError(f"{path}: '{key}' must be {shape}, not {type(value).__name__}", line_no)
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{path}: '{key}' must be a number, not {type(value).__name__}", line_no)
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ParseError(f"{path}: '{key}' must be a finite number, not {number!r}", line_no)
-        return number
+        return _finite_number(value, key, path, line_no)
+    if kind == list[float]:
+        values = typed_field(record, key, list, path, line_no)
+        return [_finite_number(v, key, path, line_no) for v in values]
     raise TypeError(f"unsupported field kind {kind!r}")
+
+
+def _finite_number(value, key: str, path: str | Path, line_no: int) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: '{key}' must be a number, not {type(value).__name__}", line_no)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: '{key}' must be a finite number, not {number!r}", line_no)
+    return number
 
 
 def read_exact(fh: BinaryIO, n: int, origin: str | Path) -> bytes:
@@ -186,27 +202,16 @@ def _load_binary(fh: BinaryIO, path: Path) -> VectorStore:
 
 def _load_jsonl(path: Path) -> VectorStore:
     ids: list[str] = []
-    rows: list[np.ndarray] = []
-    dim: int | None = None
+    rows: list[list[float]] = []
     for line_no, record in read_jsonl(path):
-        try:
-            vec_id = record["id"]
-            vec = np.asarray(record["vec"], dtype=np.float32)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}", line_no) from exc
-        if vec.ndim != 1:
-            raise ParseError(f"{path}: vec must be a flat list", line_no)
-        if dim is None:
-            dim = int(vec.shape[0])
-        elif vec.shape[0] != dim:
-            raise ParseError(
-                f"{path}: dim mismatch ({vec.shape[0]} != {dim})", line_no
-            )
-        ids.append(str(vec_id))
+        ids.append(str(typed_field(record, "id", object, path, line_no)))
+        vec = typed_field(record, "vec", list[float], path, line_no)
+        if rows and len(vec) != len(rows[0]):
+            raise ParseError(f"{path}: dim mismatch ({len(vec)} != {len(rows[0])})", line_no)
         rows.append(vec)
     if not rows:
         raise EmptyInputError(f"{path}: no vectors")
-    return _finish_store(ids, np.vstack(rows), str(path))
+    return _finish_store(ids, np.array(rows, dtype=np.float32), str(path))
 
 
 def save_vectors(path: str | Path, ids: list[str], matrix: np.ndarray) -> None:
@@ -262,3 +267,12 @@ def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> Toke
     vectors = lookup.matrix[[lookup.row_index(t) for t in kept]]
     weights = np.array([counts[t] / total for t in kept], dtype=np.float64)
     return TokenDoc(doc_id=doc_id, tokens=kept, vectors=vectors, weights=weights)
+
+
+def load_token_docs(path: str | Path, lookup: VectorStore) -> list[TokenDoc]:
+    """Token docs from ``{"id", "tokens": [...]}`` JSONL, via :func:`build_token_doc`."""
+    return [
+        build_token_doc(str(typed_field(record, "id", object, path, line_no)),
+                        typed_field(record, "tokens", list[str], path, line_no), lookup)
+        for line_no, record in read_jsonl(path)
+    ]

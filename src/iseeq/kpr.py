@@ -6,7 +6,7 @@ re-ranking with a strict threshold filter. NES is the fraction of the
 query's entities that appear in the passage, each entity counted once
 no matter how often it occurs. The module also hosts the iterative
 coverage loop over a streamed corpus and the retriever evaluation
-(hit rate, mean average precision).
+(hit rate, mean average precision), and reads their input files.
 """
 
 from __future__ import annotations
@@ -14,24 +14,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import sitq
-from .embeddings import TokenDoc, VectorStore
-from .errors import DataError
+from .embeddings import TokenDoc, VectorStore, read_jsonl, typed_field
+from .errors import DataError, EmptyInputError, ParseError
 from .sqe import TOKEN_RE, ExpandedQuery, normalize_words
 from .wmd import wmd_exact
 
 logger = logging.getLogger(__name__)
-
-# Reference retrieval scores reported for this pipeline's original
-# large-scale evaluation (QAMR Wikinews, expanded-query encoding).
-# Not reproducible offline; kept for documentation and report headers.
-REFERENCE_HR_AT_10 = 0.49
-REFERENCE_HR_AT_20 = 0.70
-REFERENCE_MAP = 0.38
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -70,6 +64,18 @@ class Passage:
         return False
 
 
+def load_passages(path: str | Path) -> list[Passage]:
+    """Passages from ``{"id", "text"}`` JSONL."""
+    passages = [
+        Passage(str(typed_field(record, "id", object, path, line_no)),
+                typed_field(record, "text", str, path, line_no))
+        for line_no, record in read_jsonl(path)
+    ]
+    if not passages:
+        raise EmptyInputError(f"{path}: no passages")
+    return passages
+
+
 @dataclass
 class RetrievalResult:
     query_id: str
@@ -82,6 +88,35 @@ class RetrievalResult:
             "ranked": [[pid, wmd, nes] for pid, wmd, nes in self.ranked],
             "kept": list(self.kept),
         }
+
+    @classmethod
+    def from_dict(cls, record: dict, path: str | Path, line_no: int) -> RetrievalResult:
+        """Inverse of :meth:`to_dict`; ``wmd`` may be ``inf`` (no token vectors)."""
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: each result must be an object", line_no)
+        ranked = []
+        for row in typed_field(record, "ranked", list, path, line_no):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise ParseError(f"{path}: a 'ranked' row must be [passage_id, wmd, nes]", line_no)
+            named = dict(zip(("passage_id", "wmd", "nes"), row))
+            wmd = row[1] if row[1] == math.inf else typed_field(named, "wmd", float, path, line_no)
+            ranked.append((str(row[0]), wmd, typed_field(named, "nes", float, path, line_no)))
+        query_id = str(typed_field(record, "query_id", object, path, line_no))
+        kept = [str(pid) for pid in typed_field(record, "kept", list, path, line_no)]
+        return cls(query_id, ranked, kept)
+
+
+def load_results(path: str | Path) -> list[RetrievalResult]:
+    """The results in a file of ``iseeq retrieve`` stdout, one run per line."""
+    results = []
+    for line_no, payload in read_jsonl(path):
+        entries = typed_field(payload, "results", list, path, line_no)
+        if not entries:
+            raise EmptyInputError(f"line {line_no}: {path}: no results")
+        results.extend(RetrievalResult.from_dict(entry, path, line_no) for entry in entries)
+    if not results:
+        raise EmptyInputError(f"{path}: no results")
+    return results
 
 
 @dataclass
@@ -260,6 +295,52 @@ def eval_retriever(
         ap_values.append(precision / n_questions)
     n = len(results)
     return {k: hr[k] / n for k in ks}, sum(ap_values) / n
+
+
+def load_relevance(path: str | Path) -> tuple[dict[str, set[str]], dict[str, int]]:
+    """Relevant passage ids and ground-truth question counts per query,
+    from ``{"query_id", "relevant": [...], "n_questions"}`` JSONL."""
+    relevance, counts = {}, {}
+    for line_no, record in read_jsonl(path):
+        qid = str(typed_field(record, "query_id", object, path, line_no))
+        relevance[qid] = {str(pid) for pid in typed_field(record, "relevant", list, path, line_no)}
+        counts[qid] = typed_field(record, "n_questions", int, path, line_no, default=1)
+    return relevance, counts
+
+
+def relevance_from_questions(
+    question_path: str | Path, gt_path: str | Path, cosine_relevance: float
+) -> tuple[dict[str, set[str]], dict[str, int]]:
+    """Relevance sets and ground-truth question counts from ``{"query_id",
+    "passage_id", "vec"}`` question and ``{"query_id", "vec"}`` ground-truth
+    JSONL: a passage is relevant when a question generated from it clears
+    the cosine cut against a ground-truth question of the query."""
+    gt_vecs: dict[str, list[tuple[np.ndarray, float]]] = {}
+    dim = None
+    for line_no, record in read_jsonl(gt_path):
+        gt = _question_vec(record, gt_path, line_no, dim)
+        dim = len(gt)
+        qid = str(typed_field(record, "query_id", object, gt_path, line_no))
+        gt_vecs.setdefault(qid, []).append((gt, np.linalg.norm(gt)))
+    relevance: dict[str, set[str]] = {qid: set() for qid in gt_vecs}
+    for line_no, record in read_jsonl(question_path):
+        qid = str(typed_field(record, "query_id", object, question_path, line_no))
+        pid = str(typed_field(record, "passage_id", object, question_path, line_no))
+        vec = _question_vec(record, question_path, line_no, dim)
+        norm = np.linalg.norm(vec)
+        if norm != 0.0 and any(
+            gt_norm != 0.0 and float(vec @ gt) / (norm * gt_norm) > cosine_relevance
+            for gt, gt_norm in gt_vecs.get(qid, [])
+        ):
+            relevance[qid].add(pid)
+    return relevance, {qid: len(vecs) for qid, vecs in gt_vecs.items()}
+
+
+def _question_vec(record: dict, path: str | Path, line_no: int, dim: int | None) -> np.ndarray:
+    vec = np.asarray(typed_field(record, "vec", list[float], path, line_no), dtype=np.float64)
+    if dim is not None and len(vec) != dim:
+        raise ParseError(f"{path}: 'vec' has {len(vec)} entries, expected {dim}", line_no)
+    return vec
 
 
 def batch_passages(

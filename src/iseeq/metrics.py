@@ -1,20 +1,21 @@
 """Conceptual-flow metrics over generated questions.
 
-Semantic-relation (SR) scores pair every generated question with every
-ground-truth question and average a similarity per pair; the similarity
-comes either from an externally supplied score table or from cosine of
-supplied embeddings. Logical coherence (LC) is the percentage of pairs
-labeled as entailment. The models producing embeddings, scores and
-labels run elsewhere; this module only does the arithmetic.
+Semantic-relation (SR) is the mean of externally supplied pair scores,
+one per (generated, ground-truth) question pair. Logical coherence (LC)
+is the percentage of pairs labeled as entailment. The models producing
+scores and labels run elsewhere; this module reads their files and
+does the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError
+from .embeddings import read_jsonl, typed_field
+from .errors import EmptyInputError
 
 
 @dataclass
@@ -33,38 +34,6 @@ class MetricReport:
         }
 
 
-def sr_score(
-    gen_vecs: list[np.ndarray],
-    ref_vecs: list[np.ndarray],
-    sim_scores: np.ndarray | None = None,
-) -> float:
-    """Mean pairwise similarity between generated and reference questions.
-
-    All generated x reference pairs are scored. ``sim_scores`` (shape
-    len(gen) x len(ref)) overrides cosine when an external similarity
-    model produced the pair scores.
-    """
-    if not gen_vecs or not ref_vecs:
-        raise ValueError("need at least one generated and one reference vector")
-    if sim_scores is not None:
-        sim_scores = np.asarray(sim_scores, dtype=np.float64)
-        if sim_scores.shape != (len(gen_vecs), len(ref_vecs)):
-            raise DataError(
-                f"score table shape {sim_scores.shape} does not match "
-                f"({len(gen_vecs)}, {len(ref_vecs)})"
-            )
-        return float(sim_scores.mean())
-    gen = np.vstack([np.asarray(v, dtype=np.float64) for v in gen_vecs])
-    ref = np.vstack([np.asarray(v, dtype=np.float64) for v in ref_vecs])
-    if gen.shape[1] != ref.shape[1]:
-        raise DataError(f"embedding dim mismatch: {gen.shape[1]} != {ref.shape[1]}")
-    gen_norm = np.linalg.norm(gen, axis=1, keepdims=True)
-    ref_norm = np.linalg.norm(ref, axis=1, keepdims=True)
-    gen = gen / np.where(gen_norm == 0.0, 1.0, gen_norm)
-    ref = ref / np.where(ref_norm == 0.0, 1.0, ref_norm)
-    return float((gen @ ref.T).mean())
-
-
 def lc_score(labels: list[str]) -> float:
     """Percentage of labels equal to "entailment"; empty input scores 0."""
     if not labels:
@@ -75,6 +44,16 @@ def lc_score(labels: list[str]) -> float:
 
 def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else 0.0
+
+
+def load_by_query(path: str | Path, key: str, kind) -> list[tuple[str, object]]:
+    """``(query id, record[key])`` per line of a pair-score or pair-label
+    JSONL file; a record without ``query_id`` counts as "all"."""
+    return [
+        (str(typed_field(record, "query_id", object, path, line_no, default="all")),
+         typed_field(record, key, kind, path, line_no))
+        for line_no, record in read_jsonl(path)
+    ]
 
 
 def evaluate(

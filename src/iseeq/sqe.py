@@ -14,8 +14,11 @@ import enum
 import logging
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator
 
+from .embeddings import read_jsonl, typed_field
+from .errors import EmptyInputError, ParseError
 from .kg import KnowledgeGraph, Triple, canonical_entity, extract_triples
 
 logger = logging.getLogger(__name__)
@@ -53,6 +56,31 @@ class QueryDescription:
     def __post_init__(self):
         if not self.text:
             raise ValueError("query text must be non-empty")
+
+
+def load_queries(path: str | Path) -> list[QueryDescription]:
+    """Queries from ``{"id", "text", "kind"}`` JSONL; ``kind`` defaults to description_only."""
+    queries = []
+    for line_no, record in read_jsonl(path):
+        query_id = str(typed_field(record, "id", object, path, line_no))
+        text = typed_field(record, "text", str, path, line_no)
+        kind = typed_field(record, "kind", str, path, line_no, default="description_only")
+        try:
+            queries.append(QueryDescription(id=query_id, text=text, kind=QueryKind(kind)))
+        except ValueError as exc:  # an unknown kind or an empty text
+            raise ParseError(f"{path}: bad query record: {exc}", line_no) from exc
+    if not queries:
+        raise EmptyInputError(f"{path}: no queries")
+    return queries
+
+
+def load_phrases(path: str | Path) -> dict[str, list[str]]:
+    """Externally extracted phrases per query id, from ``{"id", "phrases": [...]}`` JSONL."""
+    return {
+        str(typed_field(record, "id", object, path, line_no)):
+            typed_field(record, "phrases", list[str], path, line_no)
+        for line_no, record in read_jsonl(path)
+    }
 
 
 @dataclass
@@ -128,6 +156,32 @@ def extract_entities(
             found.add(entity)
             entities.append(entity)
             spans.append((start, end))
+    return entities, spans
+
+
+def resolve_phrases(
+    kg: KnowledgeGraph, text: str, phrases: list[str]
+) -> tuple[list[str], list[tuple[int, int]]]:
+    """Map externally extracted phrases onto lexicon entities and spans."""
+    entities, spans = [], []
+    lowered = text.lower()
+    for phrase in phrases:
+        entity = kg.lexicon.get(canonical_entity(phrase))
+        if entity is None:
+            logger.warning("phrase %r not in lexicon; skipped", phrase)
+            continue
+        if entity in entities:
+            continue
+        mention = phrase.lower()
+        start = lowered.find(mention)
+        if start < 0:
+            mention = entity.replace("_", " ")
+            start = lowered.find(mention)
+        if start < 0:
+            logger.warning("phrase %r has no mention in query text; skipped", phrase)
+            continue
+        entities.append(entity)
+        spans.append((start, start + len(mention)))
     return entities, spans
 
 
@@ -210,17 +264,3 @@ def expand_query(
         injections=injections,
     )
 
-
-def strip_injections(eq: ExpandedQuery) -> str:
-    """Inverse of the injection step; used to check the round-trip."""
-    text = eq.augmented_text
-    out = []
-    pos = 0
-    cursor = 0
-    for offset, inserted in eq.injections:
-        take = offset - cursor
-        out.append(text[pos : pos + take])
-        pos += take + len(inserted)
-        cursor = offset
-    out.append(text[pos:])
-    return "".join(out)

@@ -63,6 +63,18 @@ def all_substring_matches(lexicon: dict[str, str], text: str) -> set[tuple[int, 
     return found
 
 
+def strip_injections(eq) -> str:
+    """The source text of an expanded query: each injected clause cut out
+    of the augmented text, last one first, at its shifted position."""
+    text = eq.augmented_text
+    shifts = [sum(len(inserted) for _, inserted in eq.injections[:j]) for j in range(len(eq.injections))]
+    for (offset, inserted), shift in reversed(list(zip(eq.injections, shifts))):
+        at = offset + shift
+        assert text[at : at + len(inserted)] == inserted
+        text = text[:at] + text[at + len(inserted) :]
+    return text
+
+
 def brute_mips_ids(ids: list[str], matrix: np.ndarray, q: np.ndarray, n: int) -> list[str]:
     """Exact top-n inner-product ids, ties broken by id ascending."""
     ips = matrix.astype(np.float64) @ np.asarray(q, dtype=np.float64)

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from iseeq.cli import _resolve_phrases, main
+from iseeq.cli import main
 from iseeq.config import RunConfig
 from iseeq.embeddings import save_vectors
-from iseeq.sqe import QueryDescription, expand_query
+from iseeq.sqe import QueryDescription, expand_query, resolve_phrases
 
 import synth
 from conftest import CAREER_ENTITIES, CAREER_QUERY, DATA_DIR
@@ -114,7 +114,7 @@ class TestExpandQueryCommand:
 
     def test_phrase_found_by_surface_form_spans_that_form(self, tmp_path):
         kg = synth.load_synth_kg(tmp_path)
-        entities, spans = _resolve_phrases(kg, synth.QUERY_TEXT, ["solar  panel"])
+        entities, spans = resolve_phrases(kg, synth.QUERY_TEXT, ["solar  panel"])
         assert entities == ["solar_panel"]
         start, end = spans[0]
         assert synth.QUERY_TEXT[start:end] == "solar panel"
@@ -236,6 +236,19 @@ class TestEvalRetrieverCommand:
         assert code == 0
         scores = json.loads(out)
         assert scores["hr"]["1"] == 1.0  # only the top passage clears 0.70 cosine
+
+    @pytest.mark.parametrize("ks", ["0", "-3", "10,0"])
+    def test_cutoffs_must_be_positive(self, capsys, workspace, tmp_path, ks):
+        code, out, _ = run_cli(capsys, *retrieve_args(workspace))
+        results_path = tmp_path / "results.json"
+        results_path.write_text(out)
+        relevance = tmp_path / "rel.jsonl"
+        relevance.write_text(json.dumps({"query_id": "q0", "relevant": ["p1"]}) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval-retriever", "--results", str(results_path),
+            "--relevance", str(relevance), "--ks", ks,
+        )
+        assert code == 1 and out == "" and "--ks takes integers >= 1" in err
 
     def test_needs_some_relevance_source(self, capsys, workspace, tmp_path):
         results_path = tmp_path / "results.json"

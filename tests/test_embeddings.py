@@ -116,7 +116,8 @@ class TestTokenDoc:
 
 class TestTypedField:
     RECORD = {"s": "x", "toks": ["a", "b"], "i": 3, "f": 0.5, "b": True, "big": 10**400,
-              "nan": float("nan"), "mixed": ["a", 1]}
+              "nan": float("nan"), "mixed": ["a", 1], "vec": [1, 2.5], "nanvec": [1.0, float("nan")],
+              "nested": [[1.0]]}
 
     def get(self, key, kind, **kw):
         return typed_field(self.RECORD, key, kind, "f.jsonl", 7, **kw)
@@ -129,6 +130,14 @@ class TestTypedField:
         assert value == 3.0 and type(value) is float
         assert self.get("absent", float, default=None) is None
 
+    def test_accepted_new_kinds(self):
+        assert self.get("i", int) == 3
+        vec = self.get("vec", list[float])
+        assert vec == [1.0, 2.5] and all(type(v) is float for v in vec)
+        assert self.get("mixed", list) == ["a", 1]
+        assert self.get("mixed", object) == ["a", 1] and self.get("b", object) is True
+        assert self.get("absent", int, default=1) == 1
+
     @pytest.mark.parametrize(
         "key,kind,message",
         [
@@ -140,6 +149,14 @@ class TestTypedField:
             ("s", float, "'s' must be a number, not str"),
             ("nan", float, "'nan' must be a finite number, not nan"),
             ("big", float, "'big' must be a finite number, not inf"),
+            ("b", int, "'b' must be an integer, not bool"),
+            ("f", int, "'f' must be an integer, not float"),
+            ("s", list, "'s' must be a list, not str"),
+            ("s", list[float], "'s' must be a list, not str"),
+            ("mixed", list[float], "'mixed' must be a number, not str"),
+            ("nanvec", list[float], "'nanvec' must be a finite number, not nan"),
+            ("nested", list[float], "'nested' must be a number, not list"),
+            ("absent", object, "missing 'absent'"),
         ],
     )
     def test_rejected_with_path_and_line(self, key, kind, message):

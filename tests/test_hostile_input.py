@@ -21,6 +21,7 @@ from iseeq.embeddings import save_vectors
 from iseeq.sitq import build_index, save_index
 
 from conftest import make_store
+from test_golden import make_workspace
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -250,3 +251,223 @@ class TestEvaluateFiles:
         path.write_bytes(damaged(files[which].read_bytes(), cut, edits))
         files[which] = path
         assert exit_code("evaluate", "--sr", files["sr"], "--lc", files["lc"]) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def golden_ws(tmp_path_factory):
+    """The golden workspace, its recorded ``retrieve --index`` stdout as the
+    results file, and seeded question-vector files for its two queries."""
+    root = tmp_path_factory.mktemp("golden_ws")
+    ws = make_workspace(root)
+    ws["results.json"] = str(GOLDEN / "retrieve_index.out")
+    (first,) = json.loads((GOLDEN / "retrieve_index.out").read_text())["results"][:1]
+    rng = np.random.default_rng(11)
+    vec = lambda: [round(float(x), 3) for x in rng.standard_normal(4)]
+    gt = [{"query_id": qid, "vec": vec()} for qid in ("q0", "q0", "q1")]
+    questions = [{"query_id": "q0", "passage_id": row[0], "vec": vec()} for row in first["ranked"][:12]]
+    for name, records in (("gt_vecs.jsonl", gt), ("question_vecs.jsonl", questions)):
+        ws[name] = str(root / name)
+        Path(ws[name]).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return ws
+
+
+def eval_argv(ws, results=None, relevance=None):
+    return ["eval-retriever", "--results", results or ws["results.json"],
+            "--relevance", relevance or ws["relevance.jsonl"]]
+
+
+def questions_argv(ws, questions=None, gt=None):
+    return ["eval-retriever", "--results", ws["results.json"],
+            "--question-vecs", questions or ws["question_vecs.jsonl"],
+            "--gt-question-vecs", gt or ws["gt_vecs.jsonl"]]
+
+
+def expand_argv(ws, phrases):
+    return ["expand-query", "--kg", ws["kg"], "--queries", ws["queries.jsonl"], "--phrases", phrases]
+
+
+def wmd_argv(docs_a=None, docs_b=None):
+    return ["wmd", "--docs-a", docs_a or GOLDEN / "wmd_a.jsonl", "--docs-b", docs_b or GOLDEN / "wmd_b.jsonl",
+            "--vectors", GOLDEN / "token_vecs.jsonl"]
+
+
+def first_record_with(path, **changes) -> str:
+    """The first line of a JSONL file as JSON text, with ``changes`` applied
+    (a value of ``None`` deletes the key)."""
+    record = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[0])
+    for key, value in changes.items():
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+    return json.dumps(record)
+
+
+def assert_names_file_and_line(code, err, path, line_no, message):
+    assert code == 2, err
+    assert message in err and f"line {line_no}" in err and str(path) in err, err
+
+
+def test_golden_question_files_are_valid(capsys, golden_ws):
+    assert run_cli(capsys, *questions_argv(golden_ws))[0] == 0
+
+
+class TestResultsFile:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], "Expecting", id="truncated"),
+            pytest.param(lambda text: "[1,2]", "expected a JSON object", id="not-an-object"),
+            pytest.param(lambda text: text[: text.index('"results":')] + '"results":[]}', "no results",
+                         id="no-results"),
+            pytest.param(lambda text: text.replace('"ranked":', '"ranked":"abc","x":', 1),
+                         "'ranked' must be a list, not str", id="ranked-string"),
+            pytest.param(lambda text: text.replace('"ranked":', '"unranked":', 1), "missing 'ranked'",
+                         id="ranked-missing"),
+            pytest.param(lambda text: text.replace("1.7514965829485072", "NaN", 1),
+                         "'wmd' must be a finite number, not nan", id="wmd-nan"),
+            pytest.param(lambda text: text.replace(",1.0],", ",true],", 1),
+                         "'nes' must be a number, not bool", id="nes-bool"),
+            pytest.param(lambda text: text.replace('"ranked":[["p0065",', '"ranked":[["p0065",0.5,', 1),
+                         "must be [passage_id, wmd, nes]", id="row-of-four"),
+        ],
+    )
+    def test_bad_results(self, capsys, golden_ws, tmp_path, edit, message):
+        text = (GOLDEN / "retrieve_index.out").read_text(encoding="utf-8").rstrip("\n")
+        path = tmp_path / "results.json"
+        path.write_text(edit(text) + "\n", encoding="utf-8")
+        code, err = run_cli(capsys, *eval_argv(golden_ws, results=path))
+        assert_names_file_and_line(code, err, path, 1, message)
+
+    def test_infinity_wmd_is_read(self, golden_ws):
+        assert "Infinity" in Path(golden_ws["results.json"]).read_text()
+        assert exit_code(*eval_argv(golden_ws)) == 0
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, golden_ws, tmp_path, cut, edits):
+        path = tmp_path / "results.json"
+        path.write_bytes(damaged((GOLDEN / "retrieve_index.out").read_bytes(), cut, edits))
+        assert exit_code(*eval_argv(golden_ws, results=path)) in (0, 2)
+
+
+class TestRelevanceFile:
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"n_questions": "x"}, "'n_questions' must be an integer, not str"),
+            ({"n_questions": 2.0}, "'n_questions' must be an integer, not float"),
+            ({"relevant": "p1"}, "'relevant' must be a list, not str"),
+            ({"relevant": None}, "missing 'relevant'"),
+            ({"query_id": None}, "missing 'query_id'"),
+        ],
+    )
+    def test_bad_record(self, capsys, golden_ws, tmp_path, changes, message):
+        path = tmp_path / "relevance.jsonl"
+        path.write_text(first_record_with(golden_ws["relevance.jsonl"], **changes) + "\n")
+        code, err = run_cli(capsys, *eval_argv(golden_ws, relevance=path))
+        assert_names_file_and_line(code, err, path, 1, message)
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, golden_ws, tmp_path, cut, edits):
+        path = tmp_path / "relevance.jsonl"
+        path.write_bytes(damaged(Path(golden_ws["relevance.jsonl"]).read_bytes(), cut, edits))
+        assert exit_code(*eval_argv(golden_ws, relevance=path)) in (0, 2)
+
+
+class TestQuestionVectorFiles:
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"query_id": "q0", "passage_id": "p0001", "vec": "ab"}', "'vec' must be a list, not str"),
+            ('{"query_id": "q0", "passage_id": "p0001", "vec": [1, 2, 3]}',
+             "'vec' has 3 entries, expected 4"),
+            ('{"query_id": "q0", "passage_id": "p0001", "vec": [1, NaN, 3, 4]}',
+             "'vec' must be a finite number, not nan"),
+            ('{"query_id": "q0", "vec": [1, 2, 3, 4]}', "missing 'passage_id'"),
+        ],
+    )
+    def test_bad_question_line(self, capsys, golden_ws, tmp_path, line, message):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(Path(golden_ws["question_vecs.jsonl"]).read_text() + line + "\n")
+        code, err = run_cli(capsys, *questions_argv(golden_ws, questions=path))
+        assert_names_file_and_line(code, err, path, 13, message)
+
+    def test_ground_truth_dims_agree(self, capsys, golden_ws, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(Path(golden_ws["gt_vecs.jsonl"]).read_text() + '{"query_id": "q1", "vec": [1, 2]}\n')
+        code, err = run_cli(capsys, *questions_argv(golden_ws, gt=path))
+        assert_names_file_and_line(code, err, path, 4, "'vec' has 2 entries, expected 4")
+
+    @FUZZ
+    @given(which=st.sampled_from(["question_vecs.jsonl", "gt_vecs.jsonl"]), cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, golden_ws, tmp_path, which, cut, edits):
+        path = tmp_path / which
+        path.write_bytes(damaged(Path(golden_ws[which]).read_bytes(), cut, edits))
+        files = {"questions": path} if which == "question_vecs.jsonl" else {"gt": path}
+        assert exit_code(*questions_argv(golden_ws, **files)) in (0, 2)
+
+
+class TestPhrasesFile:
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"phrases": "solar panel"}, "'phrases' must be a list of strings"),
+            ({"phrases": None}, "missing 'phrases'"),
+            ({"id": None}, "missing 'id'"),
+        ],
+    )
+    def test_bad_record(self, capsys, golden_ws, tmp_path, changes, message):
+        path = tmp_path / "phrases.jsonl"
+        path.write_text(first_record_with(GOLDEN / "phrases.jsonl", **changes) + "\n")
+        code, err = run_cli(capsys, *expand_argv(golden_ws, path))
+        assert_names_file_and_line(code, err, path, 1, message)
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, golden_ws, tmp_path, cut, edits):
+        path = tmp_path / "phrases.jsonl"
+        path.write_bytes(damaged((GOLDEN / "phrases.jsonl").read_bytes(), cut, edits))
+        assert exit_code(*expand_argv(golden_ws, path)) in (0, 2)
+
+
+class TestWmdDocsFile:
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"tokens": "solar"}, "'tokens' must be a list of strings"),
+            ({"tokens": None}, "missing 'tokens'"),
+            ({"id": None}, "missing 'id'"),
+        ],
+    )
+    def test_bad_record(self, capsys, tmp_path, changes, message):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(first_record_with(GOLDEN / "wmd_a.jsonl", **changes) + "\n")
+        code, err = run_cli(capsys, *wmd_argv(docs_a=path))
+        assert_names_file_and_line(code, err, path, 1, message)
+
+    @FUZZ
+    @given(which=st.sampled_from(["wmd_a.jsonl", "wmd_b.jsonl"]), cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, tmp_path, which, cut, edits):
+        path = tmp_path / which
+        path.write_bytes(damaged((GOLDEN / which).read_bytes(), cut, edits))
+        files = {"docs_a": path} if which == "wmd_a.jsonl" else {"docs_b": path}
+        assert exit_code(*wmd_argv(**files)) in (0, 2)
+
+
+class TestVectorJsonl:
+    @pytest.mark.parametrize(
+        "vec,message",
+        [
+            ('["1", "2"]', "'vec' must be a number, not str"),
+            ("[true, 3]", "'vec' must be a number, not bool"),
+            ("[[1, 2]]", "'vec' must be a number, not list"),
+            ('"ab"', "'vec' must be a list, not str"),
+        ],
+    )
+    def test_vec_must_be_numbers(self, capsys, tmp_path, vec, message):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": "a", "vec": [1, 2]}\n{"id": "b", "vec": ' + vec + "}\n")
+        code, err = run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
+        assert_names_file_and_line(code, err, path, 2, message)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from iseeq.kpr import (
     batch_passages,
     coverage_loop,
     eval_retriever,
+    load_results,
     nes,
     retrieve,
     tokenize_text,
@@ -397,6 +399,13 @@ class TestEvalRetriever:
     def test_missing_relevance_entry(self):
         with pytest.raises(DataError):
             eval_retriever(_hand_results(), {}, ks=[1])
+
+    def test_results_file_round_trips(self, tmp_path):
+        results = _hand_results()[:2] + [RetrievalResult("q9", [("p1", math.inf, 0.5)], [])]
+        path = tmp_path / "results.json"
+        payload = {"config": {}, "results": [r.to_dict() for r in results]}
+        path.write_text(json.dumps(payload) + "\n" + json.dumps(payload) + "\n")
+        assert load_results(path) == results + results
 
 
 class TestBatching:

@@ -1,58 +1,10 @@
 import numpy as np
 import pytest
 
-from iseeq.errors import DataError, EmptyInputError
-from iseeq.metrics import MetricReport, evaluate, lc_score, sr_score
+from iseeq.errors import EmptyInputError
+from iseeq.metrics import MetricReport, evaluate, lc_score
 
 from oracles import soft_match_loops
-
-
-class TestSr:
-    def test_identical_singletons(self):
-        v = np.array([0.3, 0.4])
-        assert sr_score([v], [v]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal_singletons(self):
-        assert sr_score([np.array([1.0, 0.0])], [np.array([0.0, 1.0])]) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_cross_pairing_mean_matches_double_loop(self):
-        rng = np.random.default_rng(70)
-        gen = [rng.standard_normal(5) for _ in range(3)]
-        ref = [rng.standard_normal(5) for _ in range(2)]
-        expected = np.mean(
-            [
-                float(
-                    (g / np.linalg.norm(g)) @ (r / np.linalg.norm(r))
-                )
-                for g in gen
-                for r in ref
-            ]
-        )
-        assert sr_score(gen, ref) == pytest.approx(expected, abs=1e-9)
-
-    def test_external_score_table_wins(self):
-        gen = [np.array([1.0, 0.0])] * 2
-        ref = [np.array([1.0, 0.0])] * 3
-        table = np.full((2, 3), 0.25)
-        assert sr_score(gen, ref, sim_scores=table) == pytest.approx(0.25)
-
-    def test_table_shape_checked(self):
-        with pytest.raises(DataError):
-            sr_score([np.ones(2)], [np.ones(2)], sim_scores=np.ones((2, 2)))
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(71)
-        gen = [rng.standard_normal(4) for _ in range(4)]
-        ref = [rng.standard_normal(4) for _ in range(3)]
-        assert sr_score(gen, ref) == pytest.approx(
-            sr_score(gen[::-1], ref[::-1]), abs=1e-12
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sr_score([], [np.ones(2)])
 
 
 class TestLc:

@@ -5,15 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iseeq.kg import load_kg
-from iseeq.sqe import (
-    QueryDescription,
-    expand_query,
-    extract_entities,
-    strip_injections,
-)
+from iseeq.sqe import QueryDescription, expand_query, extract_entities
 
 from conftest import CAREER_ENTITIES, CAREER_QUERY
-from oracles import all_substring_matches
+from oracles import all_substring_matches, strip_injections
 
 
 class TestExtractEntities:
