@@ -119,6 +119,9 @@ def _load_retrieval_inputs(args):
     passage_store = load_vectors(args.passage_vectors)
     token_store = load_vectors(args.token_vectors)
     query_store = load_vectors(args.query_vectors)
+    for p in passages:
+        if p.id not in passage_store:
+            raise DataError(f"passage {p.id!r} of {args.passages} missing from {args.passage_vectors}")
 
     passage_table = {p.id: p for p in passages}
     token_docs = {}

@@ -272,8 +272,8 @@ def eval_retriever(
 
     HR@k is the fraction of queries with at least one relevant passage
     in the first k ranked. The precision of the top ``map_k`` is scaled
-    by 1/(ground-truth question count) per query (count defaults to 1)
-    and averaged into MAP.
+    by 1/(ground-truth question count) per query (count >= 1, as the
+    relevance readers check; default 1) and averaged into MAP.
     """
     if not results:
         raise ValueError("no retrieval results to evaluate")
@@ -289,10 +289,7 @@ def eval_retriever(
                 hr[k] += 1
         top = ranked_ids[:map_k]
         precision = sum(1 for pid in top if pid in rel) / len(top) if top else 0.0
-        n_questions = (gt_question_counts or {}).get(result.query_id, 1)
-        if n_questions < 1:
-            raise DataError(f"ground-truth question count must be >= 1 for {result.query_id!r}")
-        ap_values.append(precision / n_questions)
+        ap_values.append(precision / (gt_question_counts or {}).get(result.query_id, 1))
     n = len(results)
     return {k: hr[k] / n for k in ks}, sum(ap_values) / n
 
@@ -305,6 +302,8 @@ def load_relevance(path: str | Path) -> tuple[dict[str, set[str]], dict[str, int
         qid = str(typed_field(record, "query_id", object, path, line_no))
         relevance[qid] = {str(pid) for pid in typed_field(record, "relevant", list, path, line_no)}
         counts[qid] = typed_field(record, "n_questions", int, path, line_no, default=1)
+        if counts[qid] < 1:
+            raise ParseError(f"{path}: 'n_questions' must be >= 1, not {counts[qid]}", line_no)
     return relevance, counts
 
 

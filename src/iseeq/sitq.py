@@ -10,7 +10,12 @@ distance, keeps the closest ``probe`` rows as candidates and re-ranks
 them by exact inner product.
 
 Build is deterministic given the seed (the rotation init is the only
-randomized step).
+randomized step). For n rows it holds one n x (dim + 1) float64 array,
+the centered augmented matrix, through the SVD (which adds its own
+transient of about three times that), then the n x code_bits projection
+``v`` and two buffers of that size: ``v @ rotation``, which serves both
+the objective of an ITQ iteration and the sign step of the next, and
+the +-1 codes, which then hold their squared residual.
 """
 
 from __future__ import annotations
@@ -101,26 +106,34 @@ def build_index(
     if max_norm == 0.0:
         raise DataError("all vectors are zero; nothing to index")
 
-    aug = _augment_data(store.matrix, max_norm)
-    mean = aug.mean(axis=0)
-    centered = aug - mean
+    centered = _augment_data(store.matrix, max_norm)
+    mean = centered.mean(axis=0)
+    centered -= mean
 
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     keep = min(code_bits, vt.shape[0])
     projection = np.zeros((dim_aug, code_bits))
     projection[:, :keep] = vt[:keep].T
     v = centered @ projection
+    del centered
 
     rng = np.random.default_rng(seed)
     rotation, _ = np.linalg.qr(rng.standard_normal((code_bits, code_bits)))
+    vr = v @ rotation
+    b = np.empty_like(vr)
     objective: list[float] = []
     for _ in range(itq_iters):
-        b = np.where(v @ rotation >= 0.0, 1.0, -1.0)
+        np.greater_equal(vr, 0.0, out=b)
+        b *= 2.0
+        b -= 1.0
         u, _, wt = np.linalg.svd(v.T @ b)
         rotation = u @ wt
-        objective.append(float(((v @ rotation - b) ** 2).sum()))
+        np.matmul(v, rotation, out=vr)
+        np.subtract(vr, b, out=b)
+        np.square(b, out=b)
+        objective.append(float(b.sum()))
 
-    codes = _pack_bits(v @ rotation >= 0.0)
+    codes = _pack_bits(vr >= 0.0)
     return SitqIndex(
         dim_aug=dim_aug,
         max_norm=max_norm,

@@ -82,6 +82,43 @@ def brute_mips_ids(ids: list[str], matrix: np.ndarray, q: np.ndarray, n: int) ->
     return [ids[i] for i in order[:n]]
 
 
+def itq_build_allocating(store, code_bits: int, itq_iters: int, seed: int) -> dict:
+    """SITQ build with a fresh array for every step, as ``sitq.build_index``
+    did before it reused buffers: the same arithmetic in the same order, so
+    every output must match bit for bit. Codes are packed one Python int per
+    64-bit word, least significant bit first."""
+    max_norm = float(store.norms.max())
+    scaled = store.matrix.astype(np.float64) / max_norm
+    resid = np.clip(1.0 - np.einsum("ij,ij->i", scaled, scaled), 0.0, None)
+    aug = np.hstack([scaled, np.sqrt(resid)[:, None]])
+    mean = aug.mean(axis=0)
+    centered = aug - mean
+
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    keep = min(code_bits, vt.shape[0])
+    projection = np.zeros((aug.shape[1], code_bits))
+    projection[:, :keep] = vt[:keep].T
+    v = centered @ projection
+
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((code_bits, code_bits)))
+    objective: list[float] = []
+    for _ in range(itq_iters):
+        b = np.where(v @ rotation >= 0.0, 1.0, -1.0)
+        u, _, wt = np.linalg.svd(v.T @ b)
+        rotation = u @ wt
+        objective.append(float(((v @ rotation - b) ** 2).sum()))
+
+    bits = v @ rotation >= 0.0
+    words = -(-code_bits // 64)
+    codes = np.zeros((len(bits), words), dtype=np.uint64)
+    for i, row in enumerate(bits):
+        for w in range(words):
+            codes[i, w] = sum(1 << j for j, bit in enumerate(row[64 * w : 64 * w + 64]) if bit)
+    return {"mean": mean, "projection": projection, "rotation": rotation,
+            "codes": codes, "itq_objective": objective}
+
+
 def lcs_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     """Memoized-recursion LCS, independent of the iterative two-row DP."""
 

@@ -74,11 +74,15 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def retrieve_argv(ws, index):
-    return ["retrieve", "--kg", ws / "kg.tsv", "--queries", ws / "q.jsonl",
+def inputs_argv(ws):
+    """The input files that ``retrieve`` and ``coverage`` share."""
+    return ["--kg", ws / "kg.tsv", "--queries", ws / "q.jsonl",
             "--passages", ws / "p.jsonl", "--passage-vectors", ws / "pv.bin",
-            "--query-vectors", ws / "qv.bin", "--token-vectors", ws / "tv.bin",
-            "--index", index]
+            "--query-vectors", ws / "qv.bin", "--token-vectors", ws / "tv.bin"]
+
+
+def retrieve_argv(ws, index):
+    return ["retrieve", *inputs_argv(ws), "--index", index]
 
 
 @pytest.fixture
@@ -122,6 +126,13 @@ class TestVectorsFile:
         code, err = self.build(capsys, tmp_path, bad)
         assert code == 2 and "UTF-8" in err
 
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, tmp_path, cut, edits):
+        path = tmp_path / "v.bin"
+        path.write_bytes(damaged(self.valid_bytes(tmp_path), cut, edits))
+        assert exit_code("build-index", "--vectors", path, "--out", tmp_path / "i.bin") in (0, 2)
+
 
 class TestIndexFile:
     def test_every_strict_prefix_exits_2(self, capsys, workspace, index_bytes):
@@ -159,6 +170,13 @@ class TestIndexFile:
         code, err = run_cli(capsys, *retrieve_argv(workspace, path))
         assert code == 2 and "UTF-8" in err
 
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, workspace, index_bytes, cut, edits):
+        path = workspace / "damaged.bin"
+        path.write_bytes(damaged(index_bytes, cut, edits))
+        assert exit_code(*retrieve_argv(workspace, path)) in (0, 2)
+
     def test_save_rejects_id_longer_than_u16(self, tmp_path):
         index = build_index(make_store(["x" * 70_000], [[1.0, 2.0]]), code_bits=2)
         with pytest.raises(ValueError, match="id too long"):
@@ -183,6 +201,15 @@ class TestJsonlFile:
         (workspace / "q.jsonl").write_text('{"id": "q0", "text": ["solar", "power"]}\n')
         code, err = run_cli(capsys, *retrieve_argv(workspace, workspace / "index.bin"))
         assert code == 2 and "must be a string" in err and "line 1" in err
+
+
+@pytest.mark.parametrize("command", [["retrieve"], ["coverage", "--batch-size", "2"]], ids=lambda c: c[0])
+def test_passage_missing_from_vectors(capsys, workspace, command):
+    rng = np.random.default_rng(4)
+    save_vectors(workspace / "pv.bin", ["p1", "p2", "p3"], rng.standard_normal((3, 2)))
+    code, err = run_cli(capsys, *command, *inputs_argv(workspace))
+    assert code == 2, err
+    assert "'p0'" in err and str(workspace / "p.jsonl") in err and str(workspace / "pv.bin") in err
 
 
 class TestTextFile:
@@ -357,6 +384,7 @@ class TestRelevanceFile:
         [
             ({"n_questions": "x"}, "'n_questions' must be an integer, not str"),
             ({"n_questions": 2.0}, "'n_questions' must be an integer, not float"),
+            ({"n_questions": 0}, "'n_questions' must be >= 1, not 0"),
             ({"relevant": "p1"}, "'relevant' must be a list, not str"),
             ({"relevant": None}, "missing 'relevant'"),
             ({"query_id": None}, "missing 'query_id'"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from iseeq.errors import DataError, EmptyInputError
 from iseeq.sitq import build_index, encode_query, load_index, query, save_index
 
 from conftest import make_store, random_store
-from oracles import brute_mips_ids
+from oracles import brute_mips_ids, itq_build_allocating
 
 
 class TestBuild:
@@ -62,6 +64,45 @@ class TestBuild:
             build_index(store, code_bits=0)
         with pytest.raises(ValueError):
             build_index(store, itq_iters=0)
+
+    @pytest.mark.parametrize(
+        "rows,dim,code_bits,itq_iters,zero_row",
+        [
+            (5, 8, 64, 50, False),  # fewer rows than bits
+            (60, 6, 12, 20, False),  # code_bits > dim_aug
+            (300, 128, 16, 50, False),
+            (300, 128, 64, 50, False),
+            (300, 128, 100, 50, False),  # two u64 words
+            (300, 128, 64, 1, False),
+            (80, 10, 16, 30, True),
+        ],
+    )
+    def test_matches_allocating_build(self, caplog, rows, dim, code_bits, itq_iters, zero_row):
+        rng = np.random.default_rng(rows + code_bits + itq_iters)
+        matrix = rng.standard_normal((rows, dim))
+        if zero_row:
+            matrix[rows // 2] = 0.0
+        store = make_store([f"v{i}" for i in range(rows)], matrix)
+        index = build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=3)
+        expected = itq_build_allocating(store, code_bits, itq_iters, seed=3)
+        for name in ("mean", "projection", "rotation", "codes"):
+            assert np.array_equal(getattr(index, name), expected[name]), name
+        assert index.itq_objective == expected["itq_objective"]
+        assert ("exceeds augmented dim" in caplog.text) == (code_bits > dim + 1)
+
+    def test_peak_memory(self):
+        # Through the SVD the build holds two n x (dim + 1) arrays: the
+        # centered matrix and the SVD's U. A fresh array per step read 3.6x.
+        rng = np.random.default_rng(8)
+        rows, dim = 8000, 128
+        store = random_store(rng, rows, dim)
+        tracemalloc.start()
+        try:
+            build_index(store, code_bits=64, itq_iters=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows * (dim + 1) * 8
 
 
 class TestQuery:
