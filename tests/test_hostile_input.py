@@ -384,10 +384,10 @@ class TestRelevanceFile:
         [
             ({"n_questions": "x"}, "'n_questions' must be an integer, not str"),
             ({"n_questions": 2.0}, "'n_questions' must be an integer, not float"),
-            ({"n_questions": 0}, "'n_questions' must be >= 1, not 0"),
             ({"relevant": "p1"}, "'relevant' must be a list, not str"),
             ({"relevant": None}, "missing 'relevant'"),
             ({"query_id": None}, "missing 'query_id'"),
+            ({"n_questions": 0}, "'n_questions' must be >= 1, not 0"),
         ],
     )
     def test_bad_record(self, capsys, golden_ws, tmp_path, changes, message):
