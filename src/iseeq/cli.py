@@ -119,11 +119,18 @@ def _load_retrieval_inputs(args):
     passage_store = load_vectors(args.passage_vectors)
     token_store = load_vectors(args.token_vectors)
     query_store = load_vectors(args.query_vectors)
+    passage_table = {}
     for p in passages:
+        if p.id in passage_table:
+            raise DataError(f"passage {p.id!r} repeats in {args.passages}; "
+                            f"{args.passage_vectors} holds one vector per passage")
         if p.id not in passage_store:
             raise DataError(f"passage {p.id!r} of {args.passages} missing from {args.passage_vectors}")
+        passage_table[p.id] = p
+    if len(passage_table) < len(passage_store):
+        orphan = next(pid for pid in passage_store.ids if pid not in passage_table)
+        raise DataError(f"vector {orphan!r} of {args.passage_vectors} has no passage in {args.passages}")
 
-    passage_table = {p.id: p for p in passages}
     token_docs = {}
     for p in passages:
         try:

@@ -24,6 +24,12 @@ def setting_type(f: Field) -> type:
     return float if f.type == "float" else int
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ``ValueError`` when a setting that counts something is below 1."""
+    if name in ("top_k", "top_n", "code_bits", "itq_iters", "probe") and value < 1:
+        raise ValueError(f"{name} must be >= 1, not {value}")
+
+
 @dataclass
 class RunConfig:
     alpha: float = _setting(0.1971, "reward mix of exact-overlap and soft-match terms, reference")
@@ -40,9 +46,8 @@ class RunConfig:
     def __post_init__(self):
         if self.probe is None:
             self.probe = 8 * self.top_k
-        for name in ("top_k", "top_n", "code_bits", "itq_iters", "probe"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            _check_count(f.name, getattr(self, f.name))
 
     @classmethod
     def load(
@@ -74,6 +79,7 @@ class RunConfig:
                 raise ParseError(f"{path}: unknown config key {key!r}", line_no)
             try:
                 values[key] = setting_type(settings[key])(raw)
+                _check_count(key, values[key])
             except ValueError as exc:
-                raise ParseError(f"{path}: bad value for {key}: {raw!r}", line_no) from exc
+                raise ParseError(f"{path}: bad value for {key}: {raw!r} ({exc})", line_no) from exc
         return values

@@ -43,8 +43,9 @@ class VectorStore:
         self.dim = self.matrix.shape[1]
         self.norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
         self._row_of = {pid: i for i, pid in enumerate(self.ids)}
-        if len(self._row_of) != len(self.ids):
-            raise DataError("duplicate id in vector store")
+        if not len(self._row_of) == len(self.ids) == len(self.matrix):
+            raise DataError(f"vector store needs one id per row, no duplicates; got {len(self.ids)} "
+                            f"ids ({len(self._row_of)} distinct) for {len(self.matrix)} rows")
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -1,7 +1,7 @@
 """Commonsense knowledge graph store.
 
 Loads (subject, relation, object) triples from a TSV dump into an
-immutable in-memory multigraph with an entity lexicon, and supports
+immutable in-memory multigraph, and supports
 depth-first multi-hop extraction of subject-rooted triples. The graph
 is read-only after load, so it can be shared freely across worker
 threads.
@@ -39,19 +39,16 @@ class KnowledgeGraph:
     """Directed labeled multigraph over canonical entity strings.
 
     ``adjacency`` holds outgoing triples per subject, in first-seen file
-    order. ``lexicon`` maps surface phrases (both underscore and space
-    forms) to the canonical entity id.
+    order. Text matches an entity when its words, joined by ``_``, equal
+    the entity id.
     """
 
-    entities: set[str] = field(default_factory=set)
-    adjacency: dict[str, list[Triple]] = field(default_factory=dict)
-    lexicon: dict[str, str] = field(default_factory=dict)
-    max_phrase_len: int = field(init=False)  # longest lexicon phrase, in words
+    entities: set[str]
+    adjacency: dict[str, list[Triple]]
+    max_phrase_len: int = field(init=False)  # longest entity, in words
 
     def __post_init__(self):
-        self.max_phrase_len = max(
-            (key.count("_") + 1 for key in self.lexicon), default=0
-        )
+        self.max_phrase_len = max((e.count("_") + 1 for e in self.entities), default=0)
 
     @property
     def n_triples(self) -> int:
@@ -59,15 +56,6 @@ class KnowledgeGraph:
 
     def outgoing(self, entity: str) -> list[Triple]:
         return self.adjacency.get(entity, [])
-
-    def _add_entity(self, entity: str) -> None:
-        if entity not in self.entities:
-            self.entities.add(entity)
-            self.lexicon[entity] = entity
-            spaced = entity.replace("_", " ")
-            if spaced != entity:
-                self.lexicon.setdefault(spaced, entity)
-            self.max_phrase_len = max(self.max_phrase_len, entity.count("_") + 1)
 
 
 def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
@@ -79,7 +67,8 @@ def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
     with a warning.
     """
     path = Path(path)
-    kg = KnowledgeGraph()
+    entities: set[str] = set()
+    adjacency: dict[str, list[Triple]] = {}
     seen: set[tuple[str, str, str]] = set()
     n_bad = 0
     for line_no, line in read_lines(path):
@@ -100,16 +89,15 @@ def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
         if key in seen:
             continue
         seen.add(key)
-        kg._add_entity(subject)
-        kg._add_entity(obj)
-        kg.adjacency.setdefault(subject, []).append(Triple(subject, relation, obj))
-    if not kg.entities:
+        entities.update((subject, obj))
+        adjacency.setdefault(subject, []).append(Triple(subject, relation, obj))
+    if not entities:
         raise EmptyInputError(f"{path}: no triples loaded")
     logger.info(
         "loaded %s: %d entities, %d triples (%d malformed lines skipped)",
-        path, len(kg.entities), len(seen), n_bad,
+        path, len(entities), len(seen), n_bad,
     )
-    return kg
+    return KnowledgeGraph(entities, adjacency)
 
 
 def extract_triples(kg: KnowledgeGraph, seeds: list[str], max_hops: int = 2) -> list[Triple]:

@@ -189,7 +189,7 @@ def coverage_loop(
     queries: list[ExpandedQuery],
     query_vecs: dict[str, np.ndarray],
     query_docs: dict[str, TokenDoc],
-    batches: Iterable[tuple[list[Passage], list[str], np.ndarray, dict[str, TokenDoc]]],
+    batches: Iterable[tuple[list[Passage], np.ndarray, dict[str, TokenDoc]]],
     *,
     code_bits: int = 64,
     itq_iters: int = 50,
@@ -201,11 +201,11 @@ def coverage_loop(
 ) -> CoverageReport:
     """Grow the corpus batch by batch until every query has a passage.
 
-    Each batch supplies passages plus their ids/vectors/token docs. The
-    index is rebuilt over the cumulative corpus each round and retrieval
-    re-run for the still-uncovered queries. Stops as soon as all queries
-    hold at least one kept passage, or the stream runs out (reported as
-    incomplete, not an error).
+    Each batch supplies passages, their vectors (one row per passage, in
+    order) and their token docs. The index is rebuilt over the cumulative
+    corpus each round and retrieval re-run for the still-uncovered
+    queries. Stops as soon as all queries hold at least one kept passage,
+    or the stream runs out (reported as incomplete, not an error).
     """
     all_passages: dict[str, Passage] = {}
     all_docs: dict[str, TokenDoc] = {}
@@ -214,11 +214,11 @@ def coverage_loop(
     covered: dict[str, list[str]] = {}
     per_round: list[tuple[int, int]] = []
 
-    for batch_passages, batch_ids, batch_matrix, batch_docs in batches:
+    for batch_passages, batch_matrix, batch_docs in batches:
         for passage in batch_passages:
             all_passages[passage.id] = passage
+            ids.append(passage.id)
         all_docs.update(batch_docs)
-        ids.extend(batch_ids)
         rows.append(np.asarray(batch_matrix, dtype=np.float32))
 
         store = VectorStore(list(ids), np.vstack(rows))
@@ -347,13 +347,12 @@ def batch_passages(
     store: VectorStore,
     token_docs: dict[str, TokenDoc],
     batch_size: int,
-) -> Iterator[tuple[list[Passage], list[str], np.ndarray, dict[str, TokenDoc]]]:
+) -> Iterator[tuple[list[Passage], np.ndarray, dict[str, TokenDoc]]]:
     """Slice a fully-loaded corpus into coverage-loop batches."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     for start in range(0, len(passages), batch_size):
         chunk = passages[start : start + batch_size]
-        ids = [p.id for p in chunk]
-        matrix = np.vstack([store.row(pid) for pid in ids])
-        docs = {pid: token_docs[pid] for pid in ids if pid in token_docs}
-        yield chunk, ids, matrix, docs
+        matrix = np.vstack([store.row(p.id) for p in chunk])
+        docs = {p.id: token_docs[p.id] for p in chunk if p.id in token_docs}
+        yield chunk, matrix, docs

@@ -9,6 +9,10 @@ orthogonal-Procrustes update. Search scans packed codes by Hamming
 distance, keeps the closest ``probe`` rows as candidates and re-ranks
 them by exact inner product.
 
+Code row i belongs to row i of the index's vector store, so a query
+reads the store's norms and rows with no row map; :func:`load_index`
+puts a file's codes in the store's row order once.
+
 Build is deterministic given the seed (the rotation init is the only
 randomized step). For n rows it holds one n x (dim + 1) float64 array,
 the centered augmented matrix, through the SVD (which adds its own
@@ -45,27 +49,25 @@ class Candidate:
 
 @dataclass
 class SitqIndex:
-    dim_aug: int
     max_norm: float
-    mean: np.ndarray  # (dim_aug,) centering vector of the augmented data
-    projection: np.ndarray  # (dim_aug, code_bits)
+    mean: np.ndarray  # (dim + 1,) centering vector of the augmented data
+    projection: np.ndarray  # (dim + 1, code_bits)
     rotation: np.ndarray  # (code_bits, code_bits), orthogonal
-    codes: np.ndarray  # (n, words) uint64, packed sign bits
-    ids: list[str]
+    codes: np.ndarray  # (len(raw), words) uint64, packed sign bits of raw's rows
     raw: VectorStore
     itq_objective: list[float] = field(default_factory=list)
-    store_rows: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        # codes follow ids order; the raw store may order rows differently
-        self.store_rows = np.array([self.raw.row_index(p) for p in self.ids])
+    @property
+    def ids(self) -> list[str]:
+        """The indexed ids: the store's, in its row order."""
+        return self.raw.ids
 
     @property
     def code_bits(self) -> int:
         return self.rotation.shape[0]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.codes)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -96,11 +98,10 @@ def build_index(
         raise ValueError(f"itq_iters must be >= 1, got {itq_iters}")
     if len(store) == 0:
         raise EmptyInputError("cannot index an empty vector store")
-    dim_aug = store.dim + 1
-    if code_bits > dim_aug:
+    if code_bits > store.dim + 1:
         logger.warning(
             "code_bits=%d exceeds augmented dim %d; extra bits carry no signal",
-            code_bits, dim_aug,
+            code_bits, store.dim + 1,
         )
     max_norm = float(store.norms.max())
     if max_norm == 0.0:
@@ -112,7 +113,7 @@ def build_index(
 
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     keep = min(code_bits, vt.shape[0])
-    projection = np.zeros((dim_aug, code_bits))
+    projection = np.zeros((store.dim + 1, code_bits))
     projection[:, :keep] = vt[:keep].T
     v = centered @ projection
     del centered
@@ -135,13 +136,11 @@ def build_index(
 
     codes = _pack_bits(vr >= 0.0)
     return SitqIndex(
-        dim_aug=dim_aug,
         max_norm=max_norm,
         mean=mean,
         projection=projection,
         rotation=rotation,
         codes=codes,
-        ids=list(store.ids),
         raw=store,
         itq_objective=objective,
     )
@@ -150,8 +149,8 @@ def build_index(
 def encode_query(index: SitqIndex, q: np.ndarray) -> np.ndarray:
     """Packed code for a query vector (normalized, zero-padded)."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (index.dim_aug - 1,):
-        raise DataError(f"query dim {q.shape} does not match store dim {index.dim_aug - 1}")
+    if q.shape != (index.raw.dim,):
+        raise DataError(f"query dim {q.shape} does not match store dim {index.raw.dim}")
     norm = np.linalg.norm(q)
     if norm == 0.0:
         raise DataError("cannot search with a zero query vector")
@@ -186,11 +185,9 @@ def query(
     qcode = encode_query(index, q)
     hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1)
     ids_arr = np.asarray(index.ids)
-    norms = index.raw.norms[index.store_rows]
-    pick = np.lexsort((ids_arr, -norms, hamming))[:probe]
+    pick = np.lexsort((ids_arr, -index.raw.norms, hamming))[:probe]
 
-    q64 = np.asarray(q, dtype=np.float64)
-    ips = index.raw.matrix[index.store_rows[pick]].astype(np.float64) @ q64
+    ips = index.raw.matrix[pick].astype(np.float64) @ np.asarray(q, dtype=np.float64)
     order = np.lexsort((ids_arr[pick], -ips))[:top_n]
     return [
         Candidate(
@@ -204,21 +201,10 @@ def query(
 
 def save_index(index: SitqIndex, path: str | Path) -> None:
     """Persist everything but the raw vectors (they live in their own file)."""
-    code_bits = index.code_bits
-    words = index.codes.shape[1]
+    dim, (count, words) = index.raw.dim, index.codes.shape
     with Path(path).open("wb") as fh:
         fh.write(IDX_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIQd",
-                index.dim_aug - 1,
-                index.dim_aug,
-                code_bits,
-                words,
-                len(index.ids),
-                index.max_norm,
-            )
-        )
+        fh.write(struct.pack("<IIIIQd", dim, dim + 1, index.code_bits, words, count, index.max_norm))
         fh.write(index.mean.astype("<f8").tobytes())
         fh.write(np.ascontiguousarray(index.projection, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(index.rotation, dtype="<f8").tobytes())
@@ -228,23 +214,23 @@ def save_index(index: SitqIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path, store: VectorStore) -> SitqIndex:
-    """Load a persisted index; ``store`` must contain every indexed id."""
+    """Load a persisted index over exactly the ids of ``store``, each once."""
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(8)
         if magic != IDX_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        dim, dim_aug, code_bits, words, count, max_norm = struct.unpack(
+        dim, padded, code_bits, words, count, max_norm = struct.unpack(
             "<IIIIQd", read_exact(fh, 32, path)
         )
-        if dim_aug != dim + 1 or code_bits < 1 or words != -(-code_bits // 64):
+        if padded != dim + 1 or code_bits < 1 or words != -(-code_bits // 64):
             raise DataError(
-                f"{path}: inconsistent header (dim {dim}, dim_aug {dim_aug}, "
+                f"{path}: inconsistent header (dim {dim}, augmented dim {padded}, "
                 f"code_bits {code_bits}, words {words})"
             )
         if dim != store.dim:
             raise DataError(f"{path}: index dim {dim} != store dim {store.dim}")
-        body = 8 * (dim_aug + dim_aug * code_bits + code_bits * code_bits + count * words)
+        body = 8 * (padded + padded * code_bits + code_bits * code_bits + count * words)
         if body + 2 * count > path.stat().st_size - 40:
             raise DataError(f"{path}: header claims {count} codes, file too short")
 
@@ -252,23 +238,32 @@ def load_index(path: str | Path, store: VectorStore) -> SitqIndex:
             buf = read_exact(fh, 8 * math.prod(shape), path)
             return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
 
-        mean = block("<f8", dim_aug)
-        projection = block("<f8", dim_aug, code_bits)
+        mean = block("<f8", padded)
+        projection = block("<f8", padded, code_bits)
         rotation = block("<f8", code_bits, code_bits)
         codes = block("<u8", count, words)
         ids = [read_id(fh, path) for _ in range(count)]
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after {count} ids")
-    missing = [pid for pid in ids if pid not in store]
-    if missing:
-        raise DataError(f"{path}: {len(missing)} indexed ids missing from store")
+    rows: dict[str, int] = {}  # indexed id -> store row, in file order
+    for pid in ids:
+        if pid not in store:
+            raise DataError(f"{path}: indexed id {pid!r} missing from the vector store")
+        if pid in rows:
+            raise DataError(f"{path}: id {pid!r} is indexed more than once")
+        rows[pid] = store.row_index(pid)
+    if count < len(store):
+        absent = next(pid for pid in store.ids if pid not in rows)
+        raise DataError(
+            f"{path}: indexes {count} of the store's {len(store)} vectors; {absent!r} is not indexed"
+        )
+    aligned = np.empty_like(codes)
+    aligned[list(rows.values())] = codes
     return SitqIndex(
-        dim_aug=dim_aug,
         max_norm=max_norm,
         mean=mean,
         projection=projection,
         rotation=rotation,
-        codes=codes,
-        ids=ids,
+        codes=aligned,
         raw=store,
     )

@@ -3,9 +3,9 @@
 Detects knowledge-graph entities mentioned in a short query and builds
 the knowledge-augmented form of the query by injecting outgoing triples
 inline, right after the phrase that mentions each entity. Entity
-detection is lexicon-driven: longest match wins, with a secondary pass
-that also surfaces single-token entities hiding inside longer matches
-(so "career options" yields both career_options and career).
+detection matches words to KG entity ids: longest match wins, with a
+secondary pass that also surfaces single-token entities hiding inside
+longer matches (so "career options" yields career_options and career).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def normalize_words(raw_words: Iterable[str]) -> Iterator[str]:
 def extract_entities(
     kg: KnowledgeGraph, text: str
 ) -> tuple[list[str], list[tuple[int, int]]]:
-    """Match lexicon entities in ``text``.
+    """Match KG entities in ``text``.
 
     Primary pass: maximal non-overlapping matches, longest first, left
     to right. Secondary pass: single tokens that are themselves entities
@@ -137,9 +137,8 @@ def extract_entities(
     while i < len(tokens):
         matched = False
         for n in range(min(kg.max_phrase_len, len(tokens) - i), 0, -1):
-            phrase = "_".join(t[0] for t in tokens[i : i + n])
-            entity = kg.lexicon.get(phrase)
-            if entity is not None:
+            entity = "_".join(t[0] for t in tokens[i : i + n])
+            if entity in kg.entities:
                 if entity not in found:
                     found.add(entity)
                     entities.append(entity)
@@ -150,9 +149,8 @@ def extract_entities(
         if not matched:
             i += 1
 
-    for tok, start, end in tokens:
-        entity = kg.lexicon.get(tok)
-        if entity is not None and entity not in found:
+    for entity, start, end in tokens:
+        if entity in kg.entities and entity not in found:
             found.add(entity)
             entities.append(entity)
             spans.append((start, end))
@@ -162,13 +160,13 @@ def extract_entities(
 def resolve_phrases(
     kg: KnowledgeGraph, text: str, phrases: list[str]
 ) -> tuple[list[str], list[tuple[int, int]]]:
-    """Map externally extracted phrases onto lexicon entities and spans."""
+    """Map externally extracted phrases onto KG entities and spans."""
     entities, spans = [], []
     lowered = text.lower()
     for phrase in phrases:
-        entity = kg.lexicon.get(canonical_entity(phrase))
-        if entity is None:
-            logger.warning("phrase %r not in lexicon; skipped", phrase)
+        entity = canonical_entity(phrase)
+        if entity not in kg.entities:
+            logger.warning("phrase %r is not a KG entity; skipped", phrase)
             continue
         if entity in entities:
             continue
@@ -214,7 +212,7 @@ def expand_query(
     mention of the entity; a sub-entity found inside a longer match is
     anchored at the end of the covering match so the surrounding phrase
     is never split. Pre-extracted ``entities``/``spans`` (e.g. from an
-    external phrase parser) can be supplied to bypass lexicon matching.
+    external phrase parser) can be supplied to bypass entity matching.
     """
     if max_triples_per_entity < 1:
         raise ValueError("max_triples_per_entity must be >= 1")

@@ -11,9 +11,12 @@ import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from iseeq import sitq
 from iseeq.config import RunConfig
+from iseeq.embeddings import VectorStore
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,3 +62,18 @@ def test_workload_entry_point_is_callable(module_name, attr):
 def test_run_config_has_the_settings_workloads_read():
     names = {f.name for f in fields(RunConfig)}
     assert {"code_bits", "itq_iters", "seed", "top_n", "top_k", "nes_threshold", "probe"} <= names
+
+
+def test_index_exposes_what_workloads_read(tmp_path):
+    """``Ann100k.extras`` compares ``codes`` and ``ids`` of a built and a
+    loaded index, and ``layers.py`` takes ``len()`` of one."""
+    ids = [f"v{i}" for i in range(20)]
+    store = VectorStore(ids, np.random.default_rng(0).standard_normal((20, 3)).astype(np.float32))
+    built = sitq.build_index(store, code_bits=8, itq_iters=2)
+    sitq.save_index(built, tmp_path / "index.bin")
+    loaded = sitq.load_index(tmp_path / "index.bin", store)
+    for index in (built, loaded):
+        assert index.codes.shape == (20, 1)
+        assert len(index) == 20
+        assert index.ids == ids
+    assert np.array_equal(loaded.codes, built.codes)

@@ -82,6 +82,11 @@ class TestJsonl:
         assert np.abs(cos - 1.0).max() < 1e-6
 
 
+def test_store_needs_one_id_per_row():
+    with pytest.raises(DataError, match="got 2 ids \\(2 distinct\\) for 3 rows"):
+        make_store(["a", "b"], np.ones((3, 2)))
+
+
 class TestTokenDoc:
     def test_frequency_weights(self):
         store = make_store(["a", "b"], np.eye(2))

@@ -74,15 +74,19 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def inputs_argv(ws):
-    """The input files that ``retrieve`` and ``coverage`` share."""
-    return ["--kg", ws / "kg.tsv", "--queries", ws / "q.jsonl",
-            "--passages", ws / "p.jsonl", "--passage-vectors", ws / "pv.bin",
-            "--query-vectors", ws / "qv.bin", "--token-vectors", ws / "tv.bin"]
+INPUTS = {"kg": "kg.tsv", "queries": "q.jsonl", "passages": "p.jsonl",
+          "passage_vectors": "pv.bin", "query_vectors": "qv.bin", "token_vectors": "tv.bin"}
 
 
-def retrieve_argv(ws, index):
-    return ["retrieve", *inputs_argv(ws), "--index", index]
+def inputs_argv(ws, **files):
+    """The input files that ``retrieve`` and ``coverage`` share; a keyword
+    such as ``passages=path`` replaces one."""
+    return [arg for key, name in INPUTS.items()
+            for arg in (f"--{key.replace('_', '-')}", files.get(key, ws / name))]
+
+
+def retrieve_argv(ws, index, **files):
+    return ["retrieve", *inputs_argv(ws, **files), "--index", index]
 
 
 @pytest.fixture
@@ -170,6 +174,24 @@ class TestIndexFile:
         code, err = run_cli(capsys, *retrieve_argv(workspace, path))
         assert code == 2 and "UTF-8" in err
 
+    def test_duplicated_id(self, capsys, workspace, index_bytes):
+        # the last id, p3, renamed to p2: four codes over three ids
+        assert index_bytes.endswith(b"\x02\x00p3")
+        path = workspace / "dup.bin"
+        path.write_bytes(index_bytes[:-1] + b"2")
+        code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+        assert code == 2, err
+        assert "'p2' is indexed more than once" in err and str(path) in err
+
+    def test_index_over_a_subset_of_the_store(self, capsys, workspace, index_bytes):
+        rng = np.random.default_rng(5)
+        save_vectors(workspace / "pv3.bin", ["p0", "p1", "p2"], rng.standard_normal((3, 2)))
+        path = workspace / "subset.bin"
+        assert exit_code("build-index", "--vectors", workspace / "pv3.bin", "--out", path) == 0
+        code, err = run_cli(capsys, *retrieve_argv(workspace, path))
+        assert code == 2, err
+        assert "indexes 3 of the store's 4 vectors; 'p3' is not indexed" in err and str(path) in err
+
     @FUZZ
     @given(cut=CUTS, edits=EDITS)
     def test_damaged_file_exits_0_or_2(self, workspace, index_bytes, cut, edits):
@@ -202,14 +224,55 @@ class TestJsonlFile:
         code, err = run_cli(capsys, *retrieve_argv(workspace, workspace / "index.bin"))
         assert code == 2 and "must be a string" in err and "line 1" in err
 
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_passages_exit_0_or_2(self, workspace, index_bytes, cut, edits):
+        path = workspace / "damaged.jsonl"
+        path.write_bytes(damaged((workspace / "p.jsonl").read_bytes(), cut, edits))
+        assert exit_code(*retrieve_argv(workspace, workspace / "index.bin", passages=path)) in (0, 2)
 
-@pytest.mark.parametrize("command", [["retrieve"], ["coverage", "--batch-size", "2"]], ids=lambda c: c[0])
-def test_passage_missing_from_vectors(capsys, workspace, command):
-    rng = np.random.default_rng(4)
-    save_vectors(workspace / "pv.bin", ["p1", "p2", "p3"], rng.standard_normal((3, 2)))
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_queries_exit_0_or_2(self, golden_ws, tmp_path, cut, edits):
+        path = tmp_path / "queries.jsonl"
+        path.write_bytes(damaged(Path(golden_ws["queries.jsonl"]).read_bytes(), cut, edits))
+        assert exit_code("expand-query", "--kg", golden_ws["kg"], "--queries", path) in (0, 2)
+
+
+def _vectors_without_p0(ws):
+    save_vectors(ws / "pv.bin", ["p1", "p2", "p3"], np.random.default_rng(4).standard_normal((3, 2)))
+
+
+def _orphan_vector(ws):
+    ids = ["p0", "p1", "p2", "p3", "orphan"]
+    save_vectors(ws / "pv.bin", ids, np.random.default_rng(4).standard_normal((5, 2)))
+
+
+def _repeated_passage(ws):
+    with (ws / "p.jsonl").open("a") as fh:
+        fh.write(json.dumps({"id": "p1", "text": "solar again"}) + "\n")
+
+
+RETRIEVE, COVERAGE = ["retrieve"], ["coverage", "--batch-size", "2"]
+
+
+@pytest.mark.parametrize(
+    "command,edit,bad_id",
+    [
+        pytest.param(RETRIEVE, _vectors_without_p0, "p0", id="retrieve"),
+        pytest.param(COVERAGE, _vectors_without_p0, "p0", id="coverage"),
+        pytest.param(RETRIEVE, _orphan_vector, "orphan", id="retrieve-orphan-vector"),
+        pytest.param(COVERAGE, _orphan_vector, "orphan", id="coverage-orphan-vector"),
+        pytest.param(RETRIEVE, _repeated_passage, "p1", id="retrieve-repeated-passage"),
+        pytest.param(COVERAGE, _repeated_passage, "p1", id="coverage-repeated-passage"),
+    ],
+)
+def test_passage_missing_from_vectors(capsys, workspace, command, edit, bad_id):
+    """The passages and ``--passage-vectors`` must hold the same ids, each once."""
+    edit(workspace)
     code, err = run_cli(capsys, *command, *inputs_argv(workspace))
     assert code == 2, err
-    assert "'p0'" in err and str(workspace / "p.jsonl") in err and str(workspace / "pv.bin") in err
+    assert f"'{bad_id}'" in err and str(workspace / "p.jsonl") in err and str(workspace / "pv.bin") in err
 
 
 class TestTextFile:
@@ -224,6 +287,49 @@ class TestTextFile:
         config.write_bytes(b"top_k = 3\n# \xff\n")
         code, err = run_cli(capsys, "--config", config, *retrieve_argv(workspace, workspace / "index.bin"))
         assert code == 2 and "invalid UTF-8" in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("top_k = 0", "top_k must be >= 1, not 0"),
+            ("probe = -8", "probe must be >= 1, not -8"),
+        ],
+    )
+    def test_config_count_below_1(self, capsys, golden_ws, tmp_path, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 3\n{line}\n")
+        code, err = run_cli(capsys, "--config", config, *eval_argv(golden_ws))
+        assert_names_file_and_line(code, err, config, 2, message)
+
+    @FUZZ
+    @given(strict=st.booleans(), cut=CUTS, edits=EDITS)
+    def test_damaged_kg_exits_0_or_2(self, tmp_path, strict, cut, edits):
+        path = tmp_path / "kg.tsv"
+        path.write_bytes(damaged((Path(__file__).parent / "data" / "career_kg.tsv").read_bytes(), cut, edits))
+        assert exit_code("kg", "stats", path, *(["--strict"] if strict else [])) in (0, 2)
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_config_exits_0_or_2(self, golden_ws, tmp_path, cut, edits):
+        # eval-retriever reads only top_k and cosine_relevance, so no
+        # damaged size setting can make the run itself large
+        path = tmp_path / "run.cfg"
+        path.write_bytes(damaged(CONFIG, cut, edits))
+        assert exit_code("--config", path, *eval_argv(golden_ws)) in (0, 2)
+
+
+CONFIG = b"""# every setting, in file order
+alpha = 0.2
+gamma = 0.1
+nes_threshold = 0.75
+top_k = 5
+top_n = 50
+code_bits = 16
+itq_iters = 5
+probe = 40  # Hamming candidates
+seed = 7
+cosine_relevance = 0.5
+"""
 
 
 class TestLossBatchFile:
@@ -499,3 +605,11 @@ class TestVectorJsonl:
         path.write_text('{"id": "a", "vec": [1, 2]}\n{"id": "b", "vec": ' + vec + "}\n")
         code, err = run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
         assert_names_file_and_line(code, err, path, 2, message)
+
+    @FUZZ
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_file_exits_0_or_2(self, tmp_path, cut, edits):
+        valid = b'{"id": "a", "vec": [1, 2]}\n{"id": "b", "vec": [0.5, -3e2]}\n{"id": 7, "vec": [0, 1]}\n'
+        path = tmp_path / "v.jsonl"
+        path.write_bytes(damaged(valid, cut, edits))
+        assert exit_code("build-index", "--vectors", path, "--out", tmp_path / "i.bin") in (0, 2)

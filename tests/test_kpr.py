@@ -287,10 +287,9 @@ def _coverage_fixture(tmp_path, n_queries=3, per_batch=5):
 
     def batch_iter():
         for b, bp in enumerate(batches):
-            ids = [p.id for p in bp]
             matrix = base[b * per_batch : (b + 1) * per_batch]
             docs = {p.id: build_token_doc(p.id, list(p.tokens), token_store) for p in bp}
-            yield bp, ids, matrix, docs
+            yield bp, matrix, docs
 
     return queries, query_vecs, query_docs, batch_iter
 
@@ -331,11 +330,10 @@ class TestCoverage:
 
         def empty_iter():
             # strip every covering passage so no query ever qualifies
-            for bp, ids, matrix, token_docs in batch_iter():
-                filtered = [p for p in bp if p.text not in COVER_TEXTS]
-                keep_ids = [p.id for p in filtered]
-                rows = [ids.index(i) for i in keep_ids]
-                yield filtered, keep_ids, matrix[rows], {
+            for bp, matrix, token_docs in batch_iter():
+                rows = [i for i, p in enumerate(bp) if p.text not in COVER_TEXTS]
+                keep_ids = [bp[i].id for i in rows]
+                yield [bp[i] for i in rows], matrix[rows], {
                     k: v for k, v in token_docs.items() if k in keep_ids
                 }
 
@@ -416,4 +414,4 @@ class TestBatching:
         assert [len(b[0]) for b in batches] == [4, 4, 2]
         flat = [p.id for b in batches for p in b[0]]
         assert flat == [p.id for p in passages]
-        assert np.array_equal(batches[0][2][0], store.row("p0000"))
+        assert np.array_equal(batches[0][1][0], store.row("p0000"))

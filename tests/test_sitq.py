@@ -224,6 +224,35 @@ class TestPersistence:
             c.passage_id for c in query(index, q, top_n=5, probe=40)
         ]
 
+    def test_shuffled_store_gives_the_same_candidates(self, tmp_path):
+        rng = np.random.default_rng(17)
+        store = random_store(rng, 300, 10)
+        index = build_index(store, code_bits=16, itq_iters=10, seed=2)
+        path = tmp_path / "index.bin"
+        save_index(index, path)
+        perm = rng.permutation(300)
+        shuffled = make_store([store.ids[i] for i in perm], store.matrix[perm])
+        loaded = load_index(path, shuffled)
+        assert loaded.ids == shuffled.ids
+        assert np.array_equal(loaded.codes, index.codes[perm])
+        for _ in range(10):
+            q = rng.standard_normal(10)
+            assert query(loaded, q, top_n=20, probe=60) == query(index, q, top_n=20, probe=60)
+
+    def test_store_ids_must_each_be_indexed_once(self, tmp_path):
+        rng = np.random.default_rng(18)
+        store = random_store(rng, 10, 4)
+        path = tmp_path / "index.bin"
+        save_index(build_index(store, code_bits=4, itq_iters=3, seed=0), path)
+        wider = make_store(store.ids + ["extra"], np.vstack([store.matrix, np.ones((1, 4))]))
+        with pytest.raises(DataError, match="indexes 10 of the store's 11 vectors; 'extra'"):
+            load_index(path, wider)
+        data = path.read_bytes()
+        assert data.endswith(b"\x02\x00v9")
+        path.write_bytes(data[:-1] + b"8")
+        with pytest.raises(DataError, match="'v8' is indexed more than once"):
+            load_index(path, store)
+
     def test_missing_ids_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
         store = random_store(rng, 10, 4)

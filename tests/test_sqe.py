@@ -46,7 +46,7 @@ class TestExtractEntities:
                 words.insert(slot + offset, phrase)
             text = " ".join(words)
             entities, spans = extract_entities(career_kg, text)
-            oracle = all_substring_matches(career_kg.lexicon, text)
+            oracle = all_substring_matches({e: e for e in career_kg.entities}, text)
             # every reported span must be a genuine lexicon match
             assert {(s, e, ent) for (s, e), ent in zip(spans, entities)} <= oracle
             # and every planted phrase must be found
