@@ -33,12 +33,12 @@ def run(argv) -> str:
     return buffer.getvalue()
 
 
-def main():
+def main(argv: list[str] | None = None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", default="demo_workspace")
     ap.add_argument("--passages", type=int, default=200)
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     root = Path(args.workdir)
     root.mkdir(parents=True, exist_ok=True)

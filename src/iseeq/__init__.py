@@ -26,7 +26,6 @@ from .losses import (
     EntailmentRecord,
     LossBatch,
     QuestionPair,
-    RewardConfig,
     ce_loss,
     ema_update,
     erl_step_loss,

@@ -44,7 +44,7 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _expand_all(args, kg) -> list[ExpandedQuery]:
+def _expand_all(args, cfg: RunConfig, kg) -> list[ExpandedQuery]:
     queries = load_queries(args.queries)
     phrases = load_phrases(args.phrases) if args.phrases else {}
     out = []
@@ -56,8 +56,8 @@ def _expand_all(args, kg) -> list[ExpandedQuery]:
             expand_query(
                 kg,
                 query,
-                max_hops=args.max_hops,
-                max_triples_per_entity=args.max_triples,
+                max_hops=cfg.max_hops,
+                max_triples_per_entity=cfg.max_triples,
                 entities=entities,
                 spans=spans,
             )
@@ -75,8 +75,9 @@ def cmd_kg(args) -> int:
 
 
 def cmd_expand_query(args) -> int:
+    cfg = _config(args)
     kg = load_kg(args.kg)
-    for eq in _expand_all(args, kg):
+    for eq in _expand_all(args, cfg, kg):
         _print_json(
             {
                 "id": eq.source.id,
@@ -112,9 +113,9 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def _load_retrieval_inputs(args):
+def _load_retrieval_inputs(args, cfg: RunConfig):
     kg = load_kg(args.kg)
-    expanded = _expand_all(args, kg)
+    expanded = _expand_all(args, cfg, kg)
     passages = kpr.load_passages(args.passages)
     passage_store = load_vectors(args.passage_vectors)
     token_store = load_vectors(args.token_vectors)
@@ -150,7 +151,7 @@ def _load_retrieval_inputs(args):
 def cmd_retrieve(args) -> int:
     cfg = _config(args)
     (expanded, _passages, passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args)
+     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
 
     if args.index:
         index = sitq.load_index(args.index, passage_store)
@@ -194,7 +195,7 @@ def cmd_retrieve(args) -> int:
 def cmd_coverage(args) -> int:
     cfg = _config(args)
     (expanded, passages, _passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args)
+     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
     report = kpr.coverage_loop(
         expanded,
         query_vecs,
@@ -252,10 +253,9 @@ def cmd_wmd(args) -> int:
 
 def cmd_score_losses(args) -> int:
     cfg = _config(args)
-    reward_cfg = losses.RewardConfig(alpha=cfg.alpha, gamma=cfg.gamma)
     lookup = load_vectors(args.vectors) if args.vectors else None
     batch = losses.load_loss_batch(args.batch, lookup=lookup, clamp_probs=args.clamp_probs)
-    scores = losses.score_batch(batch, reward_cfg)
+    scores = losses.score_batch(batch, cfg)
     steps = [
         {"index": i, "reward": r, "indicator": ind, "gen_prob": pair.gen_prob}
         for i, (pair, r, ind) in enumerate(zip(batch.pairs, scores.rewards, scores.indicators))
@@ -266,8 +266,8 @@ def cmd_score_losses(args) -> int:
     ]
     _print_json(
         {
-            "alpha": reward_cfg.alpha,
-            "gamma": reward_cfg.gamma,
+            "alpha": cfg.alpha,
+            "gamma": cfg.gamma,
             "ce": scores.ce,
             "rce": scores.rce,
             "steps": steps,
@@ -294,16 +294,14 @@ def _config(args) -> RunConfig:
     return RunConfig.load(getattr(args, "config", None), overrides)
 
 
-def _add_config_flags(
-    parser: argparse.ArgumentParser, names: list[str], spellings: dict[str, str] | None = None
-) -> None:
-    """One flag per named RunConfig field; ``spellings`` renames a flag."""
+def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
+    """One flag per named RunConfig field: ``--`` plus the name with dashes."""
     settings = {f.name: f for f in fields(RunConfig)}
     for name in names:
         f = settings[name]
         shown = "" if f.default is None else f" (default {f.default})"
         parser.add_argument(
-            (spellings or {}).get(name, f"--{name.replace('_', '-')}"),
+            f"--{name.replace('_', '-')}",
             dest=name,
             type=setting_type(f),
             default=None,
@@ -325,8 +323,7 @@ def build_parser() -> _Parser:
     query_flags = _Parser(add_help=False)
     query_flags.add_argument("--kg", required=True)
     query_flags.add_argument("--queries", required=True)
-    query_flags.add_argument("--max-hops", type=int, default=2)
-    query_flags.add_argument("--max-triples", type=int, default=8)
+    _add_config_flags(query_flags, ["max_hops", "max_triples"])
     query_flags.add_argument("--phrases", default=None,
                              help="JSONL of pre-extracted phrases per query id")
     p = sub.add_parser("expand-query", parents=[query_flags],
@@ -336,7 +333,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-index", help="build and persist the SITQ index")
     p.add_argument("--vectors", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, ["code_bits", "itq_iters", "seed"], {"code_bits": "--bits"})
+    _add_config_flags(p, ["code_bits", "itq_iters", "seed"])
     p.set_defaults(func=cmd_build_index)
 
     for name in ("retrieve", "coverage"):
@@ -412,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, KeyError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except IseeqError as exc:

@@ -28,6 +28,7 @@ from .errors import DataError, EmptyInputError, ParseError
 logger = logging.getLogger(__name__)
 
 VEC_MAGIC = b"ISEQVEC1"
+MAX_ID_BYTES = 0xFFFF  # the binary formats store an id's UTF-8 length in a u16
 
 
 @dataclass
@@ -156,7 +157,7 @@ def read_exact(fh: BinaryIO, n: int, origin: str | Path) -> bytes:
 def write_id(fh: BinaryIO, vec_id: str) -> None:
     """Write an id as u16 byte length + UTF-8 bytes."""
     encoded = vec_id.encode("utf-8")
-    if len(encoded) > 0xFFFF:
+    if len(encoded) > MAX_ID_BYTES:
         raise ValueError(f"id too long: {vec_id[:32]!r}...")
     fh.write(struct.pack("<H", len(encoded)))
     fh.write(encoded)
@@ -206,6 +207,12 @@ def _load_jsonl(path: Path) -> VectorStore:
     rows: list[list[float]] = []
     for line_no, record in read_jsonl(path):
         ids.append(str(typed_field(record, "id", object, path, line_no)))
+        try:  # accept only the ids the binary formats can hold
+            size = len(ids[-1].encode("utf-8"))
+        except UnicodeEncodeError as exc:  # a lone surrogate such as "\ud800"
+            raise ParseError(f"{path}: 'id' is not valid Unicode: {exc}", line_no) from exc
+        if size > MAX_ID_BYTES:
+            raise ParseError(f"{path}: 'id' is {size} UTF-8 bytes; at most {MAX_ID_BYTES} fit", line_no)
         vec = typed_field(record, "vec", list[float], path, line_no)
         if rows and len(vec) != len(rows[0]):
             raise ParseError(f"{path}: dim mismatch ({len(vec)} != {len(rows[0])})", line_no)

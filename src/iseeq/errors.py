@@ -2,8 +2,9 @@
 
 ``DataError`` covers anything wrong with user-supplied files or records
 (the CLI maps it to exit code 2). Plain ``ValueError`` is reserved for
-programmer errors such as out-of-range arguments (exit code 1 when they
-bubble out of argument handling, 3 otherwise).
+out-of-range arguments and other caller errors; the CLI maps every one
+to exit code 1, as it does a usage error. Any other ``IseeqError``
+exits 3.
 """
 
 

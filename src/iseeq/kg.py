@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import RunConfig, check_setting
 from .embeddings import read_lines
 from .errors import EmptyInputError, ParseError
 
@@ -100,7 +101,7 @@ def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
     return KnowledgeGraph(entities, adjacency)
 
 
-def extract_triples(kg: KnowledgeGraph, seeds: list[str], max_hops: int = 2) -> list[Triple]:
+def extract_triples(kg: KnowledgeGraph, seeds: list[str], max_hops: int = RunConfig.max_hops) -> list[Triple]:
     """Depth-first multi-hop extraction of subject-rooted triples.
 
     Starting from each seed entity, follows outgoing edges up to
@@ -110,8 +111,7 @@ def extract_triples(kg: KnowledgeGraph, seeds: list[str], max_hops: int = 2) -> 
     is deterministic: seeds in given order, adjacency lists in load
     order, depth-first. Seeds missing from the graph are skipped.
     """
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
+    check_setting("max_hops", max_hops)
     out: list[Triple] = []
     emitted: set[tuple[str, str, str]] = set()
     best_depth: dict[str, int] = {}

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import sitq
+from .config import RunConfig, check_setting
 from .embeddings import TokenDoc, VectorStore, read_jsonl, typed_field
 from .errors import DataError, EmptyInputError, ParseError
 from .sqe import TOKEN_RE, ExpandedQuery, normalize_words
@@ -153,9 +154,9 @@ def retrieve(
     eq: ExpandedQuery,
     q_vec: np.ndarray,
     q_tokens: TokenDoc,
-    top_n: int = 100,
-    k: int = 20,
-    nes_threshold: float = 0.80,
+    top_n: int = RunConfig.top_n,
+    k: int = RunConfig.top_k,
+    nes_threshold: float = RunConfig.nes_threshold,
     probe: int | None = None,
 ) -> RetrievalResult:
     """Full pipeline for one query.
@@ -165,8 +166,7 @@ def retrieve(
     the threshold. Missing passage records for indexed ids are treated
     as corruption.
     """
-    if not 0.0 <= nes_threshold < 1.0:
-        raise ValueError(f"nes_threshold must be in [0, 1), got {nes_threshold}")
+    check_setting("nes_threshold", nes_threshold)
     if k < 1 or k > top_n:
         raise ValueError(f"k must be in [1, top_n], got k={k} top_n={top_n}")
 
@@ -191,12 +191,12 @@ def coverage_loop(
     query_docs: dict[str, TokenDoc],
     batches: Iterable[tuple[list[Passage], np.ndarray, dict[str, TokenDoc]]],
     *,
-    code_bits: int = 64,
-    itq_iters: int = 50,
-    seed: int = 42,
-    top_n: int = 100,
-    k: int = 20,
-    nes_threshold: float = 0.80,
+    code_bits: int = RunConfig.code_bits,
+    itq_iters: int = RunConfig.itq_iters,
+    seed: int = RunConfig.seed,
+    top_n: int = RunConfig.top_n,
+    k: int = RunConfig.top_k,
+    nes_threshold: float = RunConfig.nes_threshold,
     probe: int | None = None,
 ) -> CoverageReport:
     """Grow the corpus batch by batch until every query has a passage.
@@ -265,7 +265,7 @@ def eval_retriever(
     results: list[RetrievalResult],
     relevance: dict[str, set[str]],
     ks: list[int],
-    map_k: int = 20,
+    map_k: int = RunConfig.top_k,
     gt_question_counts: dict[str, int] | None = None,
 ) -> tuple[dict[int, float], float]:
     """Hit rate at each cutoff and mean average precision.

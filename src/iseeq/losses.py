@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .embeddings import TokenDoc, VectorStore, build_token_doc, read_jsonl, typed_field
 from .errors import DataError, EmptyInputError, ParseError
 from .wmd import soft_match
@@ -32,20 +33,6 @@ class EntailmentLabel(enum.Enum):
     NEUTRAL = "neutral"
     CONTRADICTION = "contradiction"
     ENTAILMENT = "entailment"
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    """Mixing weight for the reward and EMA weight for epoch tuning."""
-
-    alpha: float = 0.1971
-    gamma: float = 0.12
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
 @dataclass
@@ -108,7 +95,7 @@ def lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def reward(pair: QuestionPair, cfg: RewardConfig) -> float:
+def reward(pair: QuestionPair, cfg: RunConfig) -> float:
     """alpha * LCS(gen, ref)/|gen| + (1 - alpha) * soft_match(gen, ref)."""
     exact = lcs_len(pair.generated, pair.reference) / len(pair.generated)
     soft = soft_match(pair.generated_doc, pair.reference_doc)
@@ -135,7 +122,7 @@ class BatchScores:
     erl: list[float]  # one per entailment record
 
 
-def score_batch(batch: LossBatch, cfg: RewardConfig) -> BatchScores:
+def score_batch(batch: LossBatch, cfg: RunConfig) -> BatchScores:
     """Score each pair once; CE, RCE and every ERL step follow from that.
 
     CE is the reward- and indicator-scaled cross entropy and RCE its
@@ -168,24 +155,24 @@ def score_batch(batch: LossBatch, cfg: RewardConfig) -> BatchScores:
     return BatchScores(rewards, indicators, ce, rce, erl)
 
 
-def ce_loss(batch: LossBatch, cfg: RewardConfig) -> float:
+def ce_loss(batch: LossBatch, cfg: RunConfig) -> float:
     """The batch CE of :func:`score_batch`."""
     return score_batch(batch, cfg).ce
 
 
-def rce_loss(batch: LossBatch, cfg: RewardConfig) -> float:
+def rce_loss(batch: LossBatch, cfg: RunConfig) -> float:
     """The batch RCE of :func:`score_batch`."""
     return score_batch(batch, cfg).rce
 
 
-def erl_step_loss(batch: LossBatch, i: int, cfg: RewardConfig) -> float:
+def erl_step_loss(batch: LossBatch, i: int, cfg: RunConfig) -> float:
     """The ERL loss of step ``i`` (question ``i`` to ``i + 1``) of :func:`score_batch`."""
     if not 0 <= i < len(batch.entailments):
         raise IndexError(f"entailment index {i} out of range")
     return score_batch(batch, cfg).erl[i]
 
 
-def ema_update(prev_epoch_loss: float, batch_loss: float, cfg: RewardConfig) -> float:
+def ema_update(prev_epoch_loss: float, batch_loss: float, cfg: RunConfig) -> float:
     """Epoch-level exponential moving average of the loss."""
     return cfg.gamma * prev_epoch_loss + (1.0 - cfg.gamma) * batch_loss
 

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig, check_setting
 from .embeddings import VectorStore, read_exact, read_id, write_id
 from .errors import DataError, EmptyInputError
 
@@ -87,15 +88,13 @@ def _augment_data(matrix: np.ndarray, max_norm: float) -> np.ndarray:
 
 def build_index(
     store: VectorStore,
-    code_bits: int = 64,
-    itq_iters: int = 50,
-    seed: int = 42,
+    code_bits: int = RunConfig.code_bits,
+    itq_iters: int = RunConfig.itq_iters,
+    seed: int = RunConfig.seed,
 ) -> SitqIndex:
     """Learn codes for every vector in ``store``."""
-    if code_bits < 1:
-        raise ValueError(f"code_bits must be >= 1, got {code_bits}")
-    if itq_iters < 1:
-        raise ValueError(f"itq_iters must be >= 1, got {itq_iters}")
+    for name, value in (("code_bits", code_bits), ("itq_iters", itq_iters), ("seed", seed)):
+        check_setting(name, value)
     if len(store) == 0:
         raise EmptyInputError("cannot index an empty vector store")
     if code_bits > store.dim + 1:
@@ -162,7 +161,7 @@ def encode_query(index: SitqIndex, q: np.ndarray) -> np.ndarray:
 def query(
     index: SitqIndex,
     q: np.ndarray,
-    top_n: int = 100,
+    top_n: int = RunConfig.top_n,
     probe: int | None = None,
 ) -> list[Candidate]:
     """Approximate MIPS: Hamming-scan candidates, exact re-rank.
@@ -173,8 +172,7 @@ def query(
     norm first (the better MIPS bet), then id. ``probe`` below ``top_n``
     is raised to it.
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    check_setting("top_n", top_n)
     if probe is None:
         probe = 8 * top_n
     if probe < top_n:

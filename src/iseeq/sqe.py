@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .config import RunConfig, check_setting
 from .embeddings import read_jsonl, typed_field
 from .errors import EmptyInputError, ParseError
 from .kg import KnowledgeGraph, Triple, canonical_entity, extract_triples
@@ -200,8 +201,8 @@ def render_clause(triples: list[Triple]) -> str:
 def expand_query(
     kg: KnowledgeGraph,
     query: QueryDescription,
-    max_hops: int = 2,
-    max_triples_per_entity: int = 8,
+    max_hops: int = RunConfig.max_hops,
+    max_triples_per_entity: int = RunConfig.max_triples,
     entities: list[str] | None = None,
     spans: list[tuple[int, int]] | None = None,
 ) -> ExpandedQuery:
@@ -214,8 +215,7 @@ def expand_query(
     is never split. Pre-extracted ``entities``/``spans`` (e.g. from an
     external phrase parser) can be supplied to bypass entity matching.
     """
-    if max_triples_per_entity < 1:
-        raise ValueError("max_triples_per_entity must be >= 1")
+    check_setting("max_triples", max_triples_per_entity)
     if entities is None or spans is None:
         entities, spans = extract_entities(kg, query.text)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from iseeq.cli import main as cli_main
+from iseeq.config import RunConfig
 from iseeq.embeddings import build_token_doc
 from iseeq.kpr import (
     Passage,
@@ -25,7 +26,6 @@ from iseeq.losses import (
     EntailmentLabel,
     EntailmentRecord,
     LossBatch,
-    RewardConfig,
     ce_loss,
     ema_update,
     erl_step_loss,
@@ -235,7 +235,7 @@ def test_c06_loss_kernel(capsys):
     rng = np.random.default_rng(6000)
     for _ in range(1000):
         gamma = float(rng.uniform(0.0, 0.999))
-        cfg = RewardConfig(alpha=ALPHA, gamma=gamma)
+        cfg = RunConfig(alpha=ALPHA, gamma=gamma)
         prev, target = rng.uniform(-5, 5, size=2)
         new = ema_update(prev, target, cfg)
         assert abs(new - target) <= gamma * abs(prev - target) + 1e-12

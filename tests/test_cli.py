@@ -1,15 +1,18 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from iseeq.cli import main
-from iseeq.config import RunConfig
+from iseeq.config import RunConfig, check_setting
 from iseeq.embeddings import save_vectors
 from iseeq.sqe import QueryDescription, expand_query, resolve_phrases
 
 import synth
 from conftest import CAREER_ENTITIES, CAREER_QUERY, DATA_DIR
+from test_golden import make_workspace
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +115,23 @@ class TestExpandQueryCommand:
         record = json.loads(out)
         assert record["entities"] == ["career_options", "nurse"]
 
+    def test_max_hops_from_config_file(self, capsys, tmp_path):
+        kg = tmp_path / "kg.tsv"
+        kg.write_text("solar\tisa\tpanel\npanel\tisa\tdevice\n")
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "d1", "text": "solar power"}) + "\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("max_hops = 1\n")
+        argv = ["expand-query", "--kg", str(kg), "--queries", str(queries)]
+
+        def triples(*before):
+            code, out, err = run_cli(capsys, *before, *argv)
+            assert code == 0, err
+            return json.loads(out)["triples"]
+
+        assert triples() == [["solar", "isa", "panel"], ["panel", "isa", "device"]]
+        assert triples("--config", str(config)) == [["solar", "isa", "panel"]]
+
     def test_phrase_found_by_surface_form_spans_that_form(self, tmp_path):
         kg = synth.load_synth_kg(tmp_path)
         entities, spans = resolve_phrases(kg, synth.QUERY_TEXT, ["solar  panel"])
@@ -132,7 +152,7 @@ class TestIndexAndRetrieve:
             "build-index",
             "--vectors", workspace["passage_vectors"],
             "--out", str(out_path),
-            "--bits", "16",
+            "--code-bits", "16",
             "--seed", "5",
         )
         assert code == 0
@@ -150,6 +170,18 @@ class TestIndexAndRetrieve:
         )
         assert code == 0
         assert with_index == without_index
+
+    def test_config_echo_shows_the_probe_scanned(self, capsys, tmp_path):
+        ws = make_workspace(tmp_path)
+        code, out, err = run_cli(
+            capsys, "retrieve", "--kg", ws["kg"], "--queries", ws["queries.jsonl"],
+            "--passages", ws["passages.jsonl"], "--passage-vectors", ws["passage_vecs.bin"],
+            "--query-vectors", ws["query_vecs.bin"], "--token-vectors", ws["token_vecs.bin"],
+            "--probe", "120", "--top-n", "150",
+        )
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert (config["top_n"], config["probe"]) == (150, 150)  # sitq.query scans top_n rows at least
 
     def test_retrieve_output_shape(self, capsys, workspace):
         code, out, _ = run_cli(capsys, *retrieve_args(workspace))
@@ -323,6 +355,12 @@ class TestScoreLossesCommand:
         assert code == 0
         assert json.loads(out)["alpha"] == 1.0
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "2"), ("--gamma", "nan")])
+    def test_flag_out_of_range_exits_1(self, capsys, tmp_path, flag, value):
+        path = self.write_batch(tmp_path)
+        code, _, err = run_cli(capsys, "score-losses", "--batch", str(path), flag, value)
+        assert code == 1 and f"{flag[2:]} must be in [0, 1], not" in err
+
     def test_zero_prob_needs_clamp(self, capsys, tmp_path):
         path = tmp_path / "batch.jsonl"
         path.write_text(
@@ -385,6 +423,11 @@ class TestConfigPrecedence:
         cfg = RunConfig.load(path, overrides)
         assert cfg.nes_threshold == expected
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_nan_fails_every_range(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            check_setting(name, math.nan)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("nonsense = 3\n")
@@ -405,7 +448,7 @@ class TestConfigPrecedence:
             "build-index",
             "--vectors", str(vectors),
             "--out", str(out_path),
-            "--bits", "2",
+            "--code-bits", "2",
         )
         assert code == 0
         assert json.loads(out)["code_bits"] == 2  # flag beat the file's 8

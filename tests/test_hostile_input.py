@@ -93,7 +93,7 @@ def retrieve_argv(ws, index, **files):
 def index_bytes(workspace, capsys):
     path = workspace / "index.bin"
     code, err = run_cli(capsys, "build-index", "--vectors", workspace / "pv.bin",
-                        "--out", path, "--bits", "2")
+                        "--out", path, "--code-bits", "2")
     assert code == 0, err
     code, err = run_cli(capsys, *retrieve_argv(workspace, path))
     assert code == 0, err
@@ -300,6 +300,31 @@ class TestTextFile:
         config.write_text(f"seed = 3\n{line}\n")
         code, err = run_cli(capsys, "--config", config, *eval_argv(golden_ws))
         assert_names_file_and_line(code, err, config, 2, message)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("alpha = 2", "alpha must be in [0, 1], not 2.0"),
+            ("gamma = -1", "gamma must be in [0, 1], not -1.0"),
+            ("alpha = nan", "alpha must be in [0, 1], not nan"),
+            ("nes_threshold = 1.5", "nes_threshold must be in [0, 1), not 1.5"),
+            ("seed = -1", "seed must be >= 0, not -1"),
+            ("cosine_relevance = 7", "cosine_relevance must be in [-1, 1], not 7.0"),
+            ("max_hops = 0", "max_hops must be >= 1, not 0"),
+        ],
+    )
+    def test_config_value_out_of_range(self, capsys, golden_ws, tmp_path, line, message):
+        # every setting in the file is checked, also those eval-retriever does not read
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 3\n{line}\n")
+        code, err = run_cli(capsys, "--config", config, *eval_argv(golden_ws))
+        assert_names_file_and_line(code, err, config, 2, message)
+
+    def test_config_alpha_out_of_range_in_score_losses(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\n")
+        code, err = run_cli(capsys, "--config", config, "score-losses", "--batch", GOLDEN / "loss_batch.jsonl")
+        assert_names_file_and_line(code, err, config, 1, "alpha must be in [0, 1], not 2.0")
 
     @FUZZ
     @given(strict=st.booleans(), cut=CUTS, edits=EDITS)
@@ -605,6 +630,24 @@ class TestVectorJsonl:
         path.write_text('{"id": "a", "vec": [1, 2]}\n{"id": "b", "vec": ' + vec + "}\n")
         code, err = run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
         assert_names_file_and_line(code, err, path, 2, message)
+
+    @pytest.mark.parametrize(
+        "vec_id,message",
+        [("x" * 70_000, "'id' is 70000 UTF-8 bytes; at most 65535 fit"), ("\ud800", "'id' is not valid Unicode")],
+        ids=["too_long", "lone_surrogate"],
+    )
+    def test_id_the_binary_formats_cannot_hold(self, capsys, tmp_path, vec_id, message):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": "a", "vec": [1, 2]}\n' + json.dumps({"id": vec_id, "vec": [3, 4]}) + "\n")
+        code, err = run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
+        assert_names_file_and_line(code, err, path, 2, message)
+        assert not (tmp_path / "i.bin").exists()
+
+    def test_id_of_65535_bytes_is_indexed(self, capsys, tmp_path):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": "a", "vec": [1, 2]}\n' + json.dumps({"id": "x" * 65_535, "vec": [3, 4]}) + "\n")
+        code, err = run_cli(capsys, "build-index", "--vectors", path, "--out", tmp_path / "i.bin")
+        assert code == 0, err
 
     @FUZZ
     @given(cut=CUTS, edits=EDITS)

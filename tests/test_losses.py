@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from iseeq import losses as losses_module
 from iseeq.cli import main
+from iseeq.config import RunConfig
 from iseeq.embeddings import TokenDoc, VectorStore
 from iseeq.errors import DataError, ParseError
 from iseeq.losses import (
@@ -15,7 +16,6 @@ from iseeq.losses import (
     EntailmentRecord,
     LossBatch,
     QuestionPair,
-    RewardConfig,
     ce_loss,
     ema_update,
     erl_step_loss,
@@ -31,7 +31,7 @@ from oracles import ce_loop, erl_loops, lcs_recursive, rce_loop
 
 ALPHA = 0.1971
 GAMMA = 0.12
-CFG = RewardConfig(alpha=ALPHA, gamma=GAMMA)
+CFG = RunConfig(alpha=ALPHA, gamma=GAMMA)
 
 
 def token_doc(doc_id, tokens, table):
@@ -94,7 +94,7 @@ class TestReward:
 
     def test_alpha_one_no_overlap(self):
         pair = pair_from(["a", "b"], ["x", "y"], ORTHO, 0.5)
-        assert reward(pair, RewardConfig(alpha=1.0, gamma=GAMMA)) == 0.0
+        assert reward(pair, RunConfig(alpha=1.0, gamma=GAMMA)) == 0.0
 
     def test_hand_computed_fixture(self):
         # gen [what is nurse pay] vs ref [what is salary pay]; dyadic
@@ -149,7 +149,7 @@ class TestCeRce:
 
     def test_rce_unit_fixture(self):
         # b=1, R=1, I=0, p=0.5 -> RCE = -0.5; orthogonal tokens with alpha=0
-        cfg = RewardConfig(alpha=0.0, gamma=GAMMA)
+        cfg = RunConfig(alpha=0.0, gamma=GAMMA)
         table = {"a": [1.0, 0.0], "b": [1.0, 0.0], "x": [1.0, 0.0], "y": [1.0, 0.0]}
         pair = pair_from(["a", "b"], ["x", "y"], table, 0.5)  # R = soft = 1, I = 0
         batch = LossBatch(pairs=[pair])
@@ -314,10 +314,10 @@ class TestScoreBatch:
 
 class TestEma:
     def test_gamma_zero(self):
-        assert ema_update(5.0, 2.0, RewardConfig(alpha=ALPHA, gamma=0.0)) == 2.0
+        assert ema_update(5.0, 2.0, RunConfig(alpha=ALPHA, gamma=0.0)) == 2.0
 
     def test_gamma_one(self):
-        assert ema_update(5.0, 2.0, RewardConfig(alpha=ALPHA, gamma=1.0)) == 5.0
+        assert ema_update(5.0, 2.0, RunConfig(alpha=ALPHA, gamma=1.0)) == 5.0
 
     def test_unrolled_matches_closed_form(self):
         losses = [1.0, 0.5, 2.0, 0.25, 1.5]
@@ -336,7 +336,7 @@ class TestEma:
         st.floats(min_value=0, max_value=0.999),
     )
     def test_contraction(self, prev, batch_loss, gamma):
-        cfg = RewardConfig(alpha=ALPHA, gamma=gamma)
+        cfg = RunConfig(alpha=ALPHA, gamma=gamma)
         new = ema_update(prev, batch_loss, cfg)
         assert abs(new - batch_loss) <= gamma * abs(prev - batch_loss) + 1e-12
 
@@ -421,6 +421,6 @@ class TestBatchLoader:
 class TestConfig:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            RewardConfig(alpha=1.5)
+            RunConfig(alpha=1.5)
         with pytest.raises(ValueError):
-            RewardConfig(gamma=-0.1)
+            RunConfig(gamma=-0.1)

@@ -65,6 +65,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_index(store, itq_iters=0)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+            build_index(make_store(["a"], [[1.0]]), seed=-1)
+
     @pytest.mark.parametrize(
         "rows,dim,code_bits,itq_iters,zero_row",
         [
