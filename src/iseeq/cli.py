@@ -68,14 +68,13 @@ def _expand_all(args, cfg: RunConfig, kg) -> list[ExpandedQuery]:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_kg(args) -> int:
-    kg = load_kg(args.path, strict=args.strict)
+def cmd_kg(args, cfg: RunConfig) -> int:
+    kg = load_kg(args.path)
     _print_json({"entities": len(kg.entities), "triples": kg.n_triples})
     return 0
 
 
-def cmd_expand_query(args) -> int:
-    cfg = _config(args)
+def cmd_expand_query(args, cfg: RunConfig) -> int:
     kg = load_kg(args.kg)
     for eq in _expand_all(args, cfg, kg):
         _print_json(
@@ -93,8 +92,7 @@ def cmd_expand_query(args) -> int:
     return 0
 
 
-def cmd_build_index(args) -> int:
-    cfg = _config(args)
+def cmd_build_index(args, cfg: RunConfig) -> int:
     store = load_vectors(args.vectors)
     index = sitq.build_index(
         store, code_bits=cfg.code_bits, itq_iters=cfg.itq_iters, seed=cfg.seed
@@ -148,8 +146,7 @@ def _load_retrieval_inputs(args, cfg: RunConfig):
     return expanded, passages, passage_table, passage_store, token_docs, query_vecs, query_docs
 
 
-def cmd_retrieve(args) -> int:
-    cfg = _config(args)
+def cmd_retrieve(args, cfg: RunConfig) -> int:
     (expanded, _passages, passage_table, passage_store,
      token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
 
@@ -183,7 +180,7 @@ def cmd_retrieve(args) -> int:
                 "nes_threshold": cfg.nes_threshold,
                 "top_k": top_k,
                 "top_n": top_n,
-                "probe": cfg.probe,
+                "probe": min(cfg.probe, len(index)),
                 "seed": cfg.seed,
             },
             "results": [r.to_dict() for r in results],
@@ -192,8 +189,7 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def cmd_coverage(args) -> int:
-    cfg = _config(args)
+def cmd_coverage(args, cfg: RunConfig) -> int:
     (expanded, passages, _passage_table, passage_store,
      token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
     report = kpr.coverage_loop(
@@ -213,8 +209,7 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def cmd_eval_retriever(args) -> int:
-    cfg = _config(args)
+def cmd_eval_retriever(args, cfg: RunConfig) -> int:
     ks = [int(k) for k in args.ks.split(",") if k]
     if any(k < 1 for k in ks):
         raise UsageError(f"--ks takes integers >= 1, got {args.ks!r}")
@@ -236,7 +231,7 @@ def cmd_eval_retriever(args) -> int:
     return 0
 
 
-def cmd_wmd(args) -> int:
+def cmd_wmd(args, cfg: RunConfig) -> int:
     from .wmd import wmd_exact
 
     lookup = load_vectors(args.vectors)
@@ -251,8 +246,7 @@ def cmd_wmd(args) -> int:
     return 0
 
 
-def cmd_score_losses(args) -> int:
-    cfg = _config(args)
+def cmd_score_losses(args, cfg: RunConfig) -> int:
     lookup = load_vectors(args.vectors) if args.vectors else None
     batch = losses.load_loss_batch(args.batch, lookup=lookup, clamp_probs=args.clamp_probs)
     scores = losses.score_batch(batch, cfg)
@@ -277,7 +271,7 @@ def cmd_score_losses(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     if not args.sr and not args.lc:
         raise UsageError("evaluate needs --sr and/or --lc")
     score_records = metrics.load_by_query(args.sr, "score", float) if args.sr else []
@@ -291,7 +285,7 @@ def cmd_evaluate(args) -> int:
 
 def _config(args) -> RunConfig:
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return RunConfig.load(getattr(args, "config", None), overrides)
+    return RunConfig.load(args.config, overrides)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
@@ -317,7 +311,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kg", help="knowledge-graph utilities")
     p.add_argument("action", choices=["stats"])
     p.add_argument("path")
-    p.add_argument("--strict", action="store_true", help="fail on malformed lines")
     p.set_defaults(func=cmd_kg)
 
     query_flags = _Parser(add_help=False)
@@ -401,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        return args.func(args, _config(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -44,7 +44,7 @@ class RunConfig:
     nes_threshold: float = _setting(0.80, "strict entity-score filter, reference", 0, 1, high_open=True)
     top_k: int = _setting(20, "passages kept after filtering, reference", 1)
     top_n: int = _setting(100, "candidates fetched before re-ranking", 1)
-    code_bits: int = _setting(64, "binary code width", 1)
+    code_bits: int = _setting(64, "binary code width", 1, 1024)
     itq_iters: int = _setting(50, "rotation refinement rounds", 1)
     probe: int | None = _setting(None, "Hamming rows scanned (default 8 * top_k, at least top_n)", 1)
     seed: int = _setting(42, "rotation-init seed; the only stochastic step", 0)

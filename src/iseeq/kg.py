@@ -59,30 +59,25 @@ class KnowledgeGraph:
         return self.adjacency.get(entity, [])
 
 
-def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
+def load_kg(path: str | Path) -> KnowledgeGraph:
     """Load a knowledge graph from a tab-separated triple file.
 
-    Each line is ``subject<TAB>relation<TAB>object``. Entities are
-    canonicalized, exact duplicate triples are dropped. In strict mode a
-    malformed line raises :class:`ParseError`; otherwise it is skipped
-    with a warning.
+    Each line is ``subject<TAB>relation<TAB>object``; blank lines are
+    skipped. Entities are canonicalized, exact duplicate triples are
+    dropped. Any other line raises :class:`ParseError` with the path and
+    line number, so no query is expanded from part of a graph.
     """
     path = Path(path)
     entities: set[str] = set()
     adjacency: dict[str, list[Triple]] = {}
     seen: set[tuple[str, str, str]] = set()
-    n_bad = 0
     for line_no, line in read_lines(path):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3 or not all(p.strip() for p in parts):
-            if strict:
-                raise ParseError(f"expected 3 tab-separated fields, got {line!r}", line_no)
-            logger.warning("%s:%d: skipping malformed line %r", path, line_no, line)
-            n_bad += 1
-            continue
+            raise ParseError(f"{path}: expected 3 tab-separated fields, got {line!r}", line_no)
         subject = canonical_entity(parts[0])
         relation = parts[1].strip()
         obj = canonical_entity(parts[2])
@@ -94,10 +89,7 @@ def load_kg(path: str | Path, strict: bool = False) -> KnowledgeGraph:
         adjacency.setdefault(subject, []).append(Triple(subject, relation, obj))
     if not entities:
         raise EmptyInputError(f"{path}: no triples loaded")
-    logger.info(
-        "loaded %s: %d entities, %d triples (%d malformed lines skipped)",
-        path, len(entities), len(seen), n_bad,
-    )
+    logger.info("loaded %s: %d entities, %d triples", path, len(entities), len(seen))
     return KnowledgeGraph(entities, adjacency)
 
 

@@ -82,6 +82,11 @@ class TestKgCommand:
         code, _, err = run_cli(capsys, "kg", "stats", str(tmp_path / "nope.tsv"))
         assert code == 2
 
+    def test_strict_is_not_a_flag(self, capsys, career_kg_path):
+        # every KG read is strict, so there is no mode to choose
+        code, _, err = run_cli(capsys, "kg", "stats", career_kg_path, "--strict")
+        assert code == 1 and "unrecognized arguments: --strict" in err
+
 
 class TestExpandQueryCommand:
     def test_career_example(self, capsys, career_kg_path, tmp_path):
@@ -172,16 +177,28 @@ class TestIndexAndRetrieve:
         assert with_index == without_index
 
     def test_config_echo_shows_the_probe_scanned(self, capsys, tmp_path):
-        ws = make_workspace(tmp_path)
-        code, out, err = run_cli(
-            capsys, "retrieve", "--kg", ws["kg"], "--queries", ws["queries.jsonl"],
+        ws = make_workspace(tmp_path)  # 200 passages
+        argv = [
+            "retrieve", "--kg", ws["kg"], "--queries", ws["queries.jsonl"],
             "--passages", ws["passages.jsonl"], "--passage-vectors", ws["passage_vecs.bin"],
             "--query-vectors", ws["query_vecs.bin"], "--token-vectors", ws["token_vecs.bin"],
-            "--probe", "120", "--top-n", "150",
+        ]
+        # sitq.query scans top_n rows at least, and never more rows than the index holds
+        for flags, scanned in ((["--probe", "120", "--top-n", "150"], (150, 150)),
+                               (["--top-n", "300"], (200, 200))):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            assert code == 0, err
+            config = json.loads(out)["config"]
+            assert (config["top_n"], config["probe"]) == scanned
+
+    def test_code_bits_flag_above_bound_exits_1(self, capsys, workspace, tmp_path):
+        # just past the bound, so a build without the check would stay small
+        code, _, err = run_cli(
+            capsys, "build-index", "--vectors", workspace["passage_vectors"],
+            "--out", str(tmp_path / "index.bin"), "--code-bits", "1025",
         )
-        assert code == 0, err
-        config = json.loads(out)["config"]
-        assert (config["top_n"], config["probe"]) == (150, 150)  # sitq.query scans top_n rows at least
+        assert code == 1 and "code_bits must be in [1, 1024], not 1025" in err
+        assert not (tmp_path / "index.bin").exists()
 
     def test_retrieve_output_shape(self, capsys, workspace):
         code, out, _ = run_cli(capsys, *retrieve_args(workspace))

@@ -21,7 +21,7 @@ from iseeq.embeddings import save_vectors
 from iseeq.sitq import build_index, save_index
 
 from conftest import make_store
-from test_golden import make_workspace
+from test_golden import invocations, make_workspace
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -282,6 +282,19 @@ class TestTextFile:
         code, err = run_cli(capsys, "kg", "stats", path)
         assert code == 2 and "invalid UTF-8" in err and "line 2" in err
 
+    @pytest.mark.parametrize("command", ["kg", "expand-query", "retrieve", "coverage"])
+    def test_kg_malformed_line(self, capsys, workspace, command):
+        kg = workspace / "kg.tsv"
+        kg.write_text("solar\tisa\tpanel\nwind\tisa\n", encoding="utf-8")
+        argv = {
+            "kg": ["kg", "stats", kg],
+            "expand-query": ["expand-query", "--kg", kg, "--queries", workspace / "q.jsonl"],
+            "retrieve": ["retrieve", *inputs_argv(workspace)],
+            "coverage": ["coverage", *inputs_argv(workspace), "--batch-size", 2],
+        }[command]
+        code, err = run_cli(capsys, *argv)
+        assert_names_file_and_line(code, err, kg, 2, "expected 3 tab-separated fields, got 'wind\\tisa'")
+
     def test_config_not_utf8(self, capsys, workspace, index_bytes):
         config = workspace / "run.cfg"
         config.write_bytes(b"top_k = 3\n# \xff\n")
@@ -311,6 +324,7 @@ class TestTextFile:
             ("seed = -1", "seed must be >= 0, not -1"),
             ("cosine_relevance = 7", "cosine_relevance must be in [-1, 1], not 7.0"),
             ("max_hops = 0", "max_hops must be >= 1, not 0"),
+            ("code_bits = 10000000", "code_bits must be in [1, 1024], not 10000000"),
         ],
     )
     def test_config_value_out_of_range(self, capsys, golden_ws, tmp_path, line, message):
@@ -320,6 +334,14 @@ class TestTextFile:
         code, err = run_cli(capsys, "--config", config, *eval_argv(golden_ws))
         assert_names_file_and_line(code, err, config, 2, message)
 
+    @pytest.mark.parametrize("name", ["kg_stats", "expand_query", "build_index", "retrieve_index", "coverage",
+                                      "eval_retriever", "score_losses", "wmd", "evaluate"])
+    def test_config_checked_by_every_command(self, capsys, golden_ws, tmp_path, name):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\ntop_k = 0\n")
+        code, err = run_cli(capsys, "--config", config, *dict(invocations(golden_ws))[name])
+        assert_names_file_and_line(code, err, config, 2, "top_k must be >= 1, not 0")
+
     def test_config_alpha_out_of_range_in_score_losses(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("alpha = 2\n")
@@ -327,11 +349,11 @@ class TestTextFile:
         assert_names_file_and_line(code, err, config, 1, "alpha must be in [0, 1], not 2.0")
 
     @FUZZ
-    @given(strict=st.booleans(), cut=CUTS, edits=EDITS)
-    def test_damaged_kg_exits_0_or_2(self, tmp_path, strict, cut, edits):
+    @given(cut=CUTS, edits=EDITS)
+    def test_damaged_kg_exits_0_or_2(self, tmp_path, cut, edits):
         path = tmp_path / "kg.tsv"
         path.write_bytes(damaged((Path(__file__).parent / "data" / "career_kg.tsv").read_bytes(), cut, edits))
-        assert exit_code("kg", "stats", path, *(["--strict"] if strict else [])) in (0, 2)
+        assert exit_code("kg", "stats", path) in (0, 2)
 
     @FUZZ
     @given(cut=CUTS, edits=EDITS)

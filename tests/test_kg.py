@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from iseeq.errors import EmptyInputError, ParseError
@@ -33,20 +31,19 @@ class TestLoad:
         kg = load_kg(path)
         assert kg.n_triples == 1
 
-    def test_lenient_skips_malformed_with_warnings(self, tmp_path, caplog):
+    def test_malformed_line_names_file_and_line(self, tmp_path):
         lines = [f"s{i}\trel\to{i}" for i in range(8)]
-        lines.insert(3, "only_two_fields\trel")
-        lines.insert(7, "not a triple at all")
-        path = write_kg(tmp_path, lines)
-        with caplog.at_level(logging.WARNING):
-            kg = load_kg(path, strict=False)
-        assert kg.n_triples == 8
-        assert sum("malformed" in r.message for r in caplog.records) == 2
+        for bad in ("only_two_fields\trel", "not a triple at all"):
+            path = write_kg(tmp_path, lines[:3] + [bad] + lines[3:])
+            with pytest.raises(ParseError) as info:
+                load_kg(path)
+            assert str(info.value) == f"line 4: {path}: expected 3 tab-separated fields, got {bad!r}"
 
     def test_strict_raises_with_line_number(self, tmp_path):
         path = write_kg(tmp_path, ["a\tr\tb", "broken line"])
-        with pytest.raises(ParseError, match="line 2"):
-            load_kg(path, strict=True)
+        with pytest.raises(ParseError, match="line 2") as info:
+            load_kg(path)
+        assert str(path) in str(info.value)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
