@@ -3,8 +3,9 @@
 One binary, nine subcommands covering the pipeline end to end: kg
 stats, query expansion, index construction, retrieval, the coverage
 loop, retriever evaluation, WMD matrices, loss scoring and the
-conceptual-flow metrics. Report-producing commands print machine-
-readable JSON on stdout (the wmd matrix is CSV); logs go to stderr.
+conceptual-flow metrics. Each handler only parses its flags, calls the
+library and prints: report-producing commands print machine-readable
+JSON on stdout (the wmd matrix is CSV); logs go to stderr.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
 error.
 """
@@ -19,12 +20,11 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import kpr, losses, metrics, sitq
 from .config import RunConfig, setting_type
-from .embeddings import build_token_doc, load_token_docs, load_vectors
-from .errors import DataError, EmptyInputError, IseeqError
+# build_token_doc is unused here: perfbench/tracing.py wraps it under this module's name.
+from .embeddings import build_token_doc, load_token_docs, load_vectors  # noqa: F401
+from .errors import DataError, IseeqError
 from .kg import load_kg
 from .sqe import ExpandedQuery, expand_query, load_phrases, load_queries, resolve_phrases
 
@@ -44,7 +44,8 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _expand_all(args, cfg: RunConfig, kg) -> list[ExpandedQuery]:
+def _expand_all(args, cfg: RunConfig) -> list[ExpandedQuery]:
+    kg = load_kg(args.kg)
     queries = load_queries(args.queries)
     phrases = load_phrases(args.phrases) if args.phrases else {}
     out = []
@@ -75,8 +76,7 @@ def cmd_kg(args, cfg: RunConfig) -> int:
 
 
 def cmd_expand_query(args, cfg: RunConfig) -> int:
-    kg = load_kg(args.kg)
-    for eq in _expand_all(args, cfg, kg):
+    for eq in _expand_all(args, cfg):
         _print_json(
             {
                 "id": eq.source.id,
@@ -111,67 +111,23 @@ def cmd_build_index(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_retrieval_inputs(args, cfg: RunConfig):
-    kg = load_kg(args.kg)
-    expanded = _expand_all(args, cfg, kg)
-    passages = kpr.load_passages(args.passages)
-    passage_store = load_vectors(args.passage_vectors)
-    token_store = load_vectors(args.token_vectors)
-    query_store = load_vectors(args.query_vectors)
-    passage_table = {}
-    for p in passages:
-        if p.id in passage_table:
-            raise DataError(f"passage {p.id!r} repeats in {args.passages}; "
-                            f"{args.passage_vectors} holds one vector per passage")
-        if p.id not in passage_store:
-            raise DataError(f"passage {p.id!r} of {args.passages} missing from {args.passage_vectors}")
-        passage_table[p.id] = p
-    if len(passage_table) < len(passage_store):
-        orphan = next(pid for pid in passage_store.ids if pid not in passage_table)
-        raise DataError(f"vector {orphan!r} of {args.passage_vectors} has no passage in {args.passages}")
-
-    token_docs = {}
-    for p in passages:
-        try:
-            token_docs[p.id] = build_token_doc(p.id, p.tokens, token_store)
-        except EmptyInputError:
-            logger.warning("no token vectors for %s; WMD falls back to worst score", p.id)
-    query_vecs, query_docs = {}, {}
-    for eq in expanded:
-        qid = eq.source.id
-        if qid not in query_store:
-            raise DataError(f"query {qid!r} missing from {args.query_vectors}")
-        query_vecs[qid] = query_store.row(qid).astype(np.float64)
-        query_docs[qid] = build_token_doc(qid, kpr.tokenize_text(eq.augmented_text), token_store)
-    return expanded, passages, passage_table, passage_store, token_docs, query_vecs, query_docs
-
-
 def cmd_retrieve(args, cfg: RunConfig) -> int:
-    (expanded, _passages, passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
-
+    expanded = _expand_all(args, cfg)
+    corpus = kpr.load_corpus(expanded, args.passages, args.passage_vectors, args.query_vectors,
+                             args.token_vectors, queries_path=args.queries)
     if args.index:
-        index = sitq.load_index(args.index, passage_store)
+        index = sitq.load_index(args.index, corpus.store)
     else:
         index = sitq.build_index(
-            passage_store, code_bits=cfg.code_bits, itq_iters=cfg.itq_iters, seed=cfg.seed
+            corpus.store, code_bits=cfg.code_bits, itq_iters=cfg.itq_iters, seed=cfg.seed
         )
     top_n = min(cfg.top_n, len(index))
     top_k = min(cfg.top_k, top_n)
 
     results = [
-        kpr.retrieve(
-            index,
-            passage_table,
-            token_docs,
-            eq,
-            query_vecs[eq.source.id],
-            query_docs[eq.source.id],
-            top_n=top_n,
-            k=top_k,
-            nes_threshold=cfg.nes_threshold,
-            probe=cfg.probe,
-        )
+        kpr.retrieve(index, corpus.passages, corpus.token_docs, eq, corpus.query_vecs[eq.source.id],
+                     corpus.query_docs[eq.source.id], top_n=top_n, k=top_k,
+                     nes_threshold=cfg.nes_threshold, probe=cfg.probe)
         for eq in expanded
     ]
     _print_json(
@@ -190,20 +146,15 @@ def cmd_retrieve(args, cfg: RunConfig) -> int:
 
 
 def cmd_coverage(args, cfg: RunConfig) -> int:
-    (expanded, passages, _passage_table, passage_store,
-     token_docs, query_vecs, query_docs) = _load_retrieval_inputs(args, cfg)
+    expanded = _expand_all(args, cfg)
+    corpus = kpr.load_corpus(expanded, args.passages, args.passage_vectors, args.query_vectors,
+                             args.token_vectors, queries_path=args.queries)
+    batches = kpr.batch_passages(list(corpus.passages.values()), corpus.store,
+                                 corpus.token_docs, args.batch_size)
     report = kpr.coverage_loop(
-        expanded,
-        query_vecs,
-        query_docs,
-        kpr.batch_passages(passages, passage_store, token_docs, args.batch_size),
-        code_bits=cfg.code_bits,
-        itq_iters=cfg.itq_iters,
-        seed=cfg.seed,
-        top_n=cfg.top_n,
-        k=cfg.top_k,
-        nes_threshold=cfg.nes_threshold,
-        probe=cfg.probe,
+        expanded, corpus.query_vecs, corpus.query_docs, batches, code_bits=cfg.code_bits,
+        itq_iters=cfg.itq_iters, seed=cfg.seed, top_n=cfg.top_n, k=cfg.top_k,
+        nes_threshold=cfg.nes_threshold, probe=cfg.probe,
     )
     _print_json(report.to_dict())
     return 0

@@ -4,9 +4,10 @@ Three stages: SITQ candidate search for the expanded query, exact WMD
 re-scoring of the candidates, and normalized-entity-score (NES)
 re-ranking with a strict threshold filter. NES is the fraction of the
 query's entities that appear in the passage, each entity counted once
-no matter how often it occurs. The module also hosts the iterative
-coverage loop over a streamed corpus and the retriever evaluation
-(hit rate, mean average precision), and reads their input files.
+no matter how often it occurs. The module also loads the corpus and
+holds its id rules, runs the iterative coverage loop over a streamed
+corpus and the retriever evaluation (hit rate, mean average
+precision), and reads their input files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import sitq
+from . import embeddings, sitq  # embeddings.<name> calls pass through perfbench/tracing.py wrappers
 from .config import RunConfig, check_setting
 from .embeddings import TokenDoc, VectorStore, read_jsonl, typed_field
 from .errors import DataError, EmptyInputError, ParseError
@@ -65,16 +66,63 @@ class Passage:
         return False
 
 
-def load_passages(path: str | Path) -> list[Passage]:
-    """Passages from ``{"id", "text"}`` JSONL."""
-    passages = [
-        Passage(str(typed_field(record, "id", object, path, line_no)),
-                typed_field(record, "text", str, path, line_no))
-        for line_no, record in read_jsonl(path)
+@dataclass
+class Corpus:
+    """What retrieval reads: the passages in file order, their vector store
+    and token docs, and each query's vector and token doc."""
+
+    passages: dict[str, Passage]
+    store: VectorStore
+    token_docs: dict[str, TokenDoc]
+    query_vecs: dict[str, np.ndarray]
+    query_docs: dict[str, TokenDoc]
+
+
+def load_corpus(queries: list[ExpandedQuery], passages_path: str | Path, vectors_path: str | Path,
+                query_vectors_path: str | Path, token_vectors_path: str | Path,
+                *, queries_path: str | Path) -> Corpus:
+    """Passages from ``{"id", "text"}`` JSONL with their vectors, and the
+    vectors and token docs of ``queries`` (expanded from ``queries_path``).
+
+    The passages and ``vectors_path`` must hold the same ids, each passage once,
+    and each query needs a row in ``query_vectors_path``. A passage with no
+    token vectors gets no token doc, so ``retrieve`` scores it WMD inf.
+    """
+    records = [
+        Passage(str(typed_field(record, "id", object, passages_path, line_no)),
+                typed_field(record, "text", str, passages_path, line_no))
+        for line_no, record in read_jsonl(passages_path)
     ]
-    if not passages:
-        raise EmptyInputError(f"{path}: no passages")
-    return passages
+    if not records:
+        raise EmptyInputError(f"{passages_path}: no passages")
+    store = embeddings.load_vectors(vectors_path)
+    token_store = embeddings.load_vectors(token_vectors_path)
+    query_store = embeddings.load_vectors(query_vectors_path)
+    passages: dict[str, Passage] = {}
+    for p in records:
+        if p.id in passages:
+            raise DataError(f"passage {p.id!r} repeats in {passages_path}; "
+                            f"{vectors_path} holds one vector per passage")
+        if p.id not in store:
+            raise DataError(f"passage {p.id!r} of {passages_path} missing from {vectors_path}")
+        passages[p.id] = p
+    if len(passages) < len(store):
+        orphan = next(pid for pid in store.ids if pid not in passages)
+        raise DataError(f"vector {orphan!r} of {vectors_path} has no passage in {passages_path}")
+    token_docs = {}
+    for p in passages.values():
+        try:
+            token_docs[p.id] = embeddings.build_token_doc(p.id, p.tokens, token_store)
+        except EmptyInputError:
+            logger.warning("no token vectors for %s; WMD falls back to worst score", p.id)
+    query_vecs, query_docs = {}, {}
+    for eq in queries:
+        qid = eq.source.id
+        if qid not in query_store:
+            raise DataError(f"query {qid!r} of {queries_path} missing from {query_vectors_path}")
+        query_vecs[qid] = query_store.row(qid).astype(np.float64)
+        query_docs[qid] = embeddings.build_token_doc(qid, tokenize_text(eq.augmented_text), token_store)
+    return Corpus(passages, store, token_docs, query_vecs, query_docs)
 
 
 @dataclass
@@ -139,9 +187,8 @@ class CoverageReport:
 
 
 def nes(passage: Passage, eq: ExpandedQuery) -> float:
-    """Fraction of the query's entities present in the passage."""
+    """Fraction of the query's entities present in the passage; 0 with none."""
     if not eq.entities:
-        logger.warning("query %s has no entities; NES defaults to 0", eq.source.id)
         return 0.0
     hits = sum(1 for entity in set(eq.entities) if passage.contains_phrase(entity))
     return hits / len(set(eq.entities))
@@ -169,6 +216,8 @@ def retrieve(
     check_setting("nes_threshold", nes_threshold)
     if k < 1 or k > top_n:
         raise ValueError(f"k must be in [1, top_n], got k={k} top_n={top_n}")
+    if not eq.entities:
+        logger.warning("query %s has no entities; NES defaults to 0", eq.source.id)
 
     candidates = sitq.query(index, q_vec, top_n=top_n, probe=probe)
     scored: list[tuple[str, float, float]] = []

@@ -275,6 +275,15 @@ def test_passage_missing_from_vectors(capsys, workspace, command, edit, bad_id):
     assert f"'{bad_id}'" in err and str(workspace / "p.jsonl") in err and str(workspace / "pv.bin") in err
 
 
+@pytest.mark.parametrize("command", [RETRIEVE, COVERAGE], ids=["retrieve", "coverage"])
+def test_query_missing_from_vectors(capsys, workspace, command):
+    """Each query needs a row in ``--query-vectors``; the message names both files."""
+    save_vectors(workspace / "qv.bin", ["q1"], np.random.default_rng(4).standard_normal((1, 2)))
+    code, err = run_cli(capsys, *command, *inputs_argv(workspace))
+    assert code == 2, err
+    assert "'q0'" in err and str(workspace / "q.jsonl") in err and str(workspace / "qv.bin") in err
+
+
 class TestTextFile:
     def test_kg_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "kg.tsv"

@@ -1,10 +1,12 @@
 import json
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iseeq.embeddings import build_token_doc
+from iseeq.embeddings import build_token_doc, save_vectors
 from iseeq.errors import DataError
 from iseeq.kpr import (
     Passage,
@@ -12,6 +14,7 @@ from iseeq.kpr import (
     batch_passages,
     coverage_loop,
     eval_retriever,
+    load_corpus,
     load_results,
     nes,
     retrieve,
@@ -22,7 +25,7 @@ from iseeq.sqe import QueryDescription, expand_query
 from iseeq.wmd import wmd_exact
 
 import synth
-from conftest import CAREER_QUERY
+from conftest import CAREER_QUERY, make_store
 from oracles import nes_bruteforce
 
 
@@ -66,6 +69,21 @@ class TestNes:
         eq = career_eq(career_kg)
         eq.entities = []
         assert nes(Passage(id="p", text="anything"), eq) == 0.0
+        assert not caplog.records
+        # one retrieve warns once, not once per candidate
+        rng = np.random.default_rng(5)
+        passages = {f"p{i}": Passage(id=f"p{i}", text="anything") for i in range(3)}
+        store = make_store(passages, rng.standard_normal((3, 4)))
+        token_store = make_store(["anything"], rng.standard_normal((1, 4)))
+        q_doc = build_token_doc("q", ["anything"], token_store)
+        index = build_index(store, code_bits=4, itq_iters=3, seed=0)
+        with caplog.at_level(logging.WARNING):
+            result = retrieve(index, passages, _token_docs(passages.values(), token_store), eq,
+                              rng.standard_normal(4), q_doc, top_n=3, k=1)
+        assert [nes_val for _, _, nes_val in result.ranked] == [0.0] * 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "query d1 has no entities; NES defaults to 0"
+        ]
 
     def test_matches_bruteforce_oracle(self, career_kg):
         rng = np.random.default_rng(41)
@@ -232,6 +250,71 @@ class TestRetrieve:
             retrieve(index, {}, {}, eq, rng.standard_normal(4), q_doc, nes_threshold=1.0)
         with pytest.raises(ValueError):
             retrieve(index, {}, {}, eq, rng.standard_normal(4), q_doc, top_n=5, k=10)
+
+
+def _corpus_files(tmp_path) -> dict[str, Path]:
+    """Three passages and their vectors, one query vector; no token of p2 has a vector."""
+    rng = np.random.default_rng(6)
+    files = {name: tmp_path / name for name in ("q.jsonl", "p.jsonl", "pv.bin", "qv.bin", "tv.bin")}
+    texts = ["a nurse career", "physician options", "zzz"]
+    files["p.jsonl"].write_text(
+        "".join(json.dumps({"id": f"p{i}", "text": t}) + "\n" for i, t in enumerate(texts))
+    )
+    save_vectors(files["pv.bin"], ["p0", "p1", "p2"], rng.standard_normal((3, 4)))
+    save_vectors(files["qv.bin"], ["d1"], rng.standard_normal((1, 4)))
+    vocab = ["a", "nurse", "career", "physician", "options"]
+    save_vectors(files["tv.bin"], vocab, rng.standard_normal((len(vocab), 4)))
+    return files
+
+
+def _load_corpus_files(files, eq):
+    return load_corpus([eq], files["p.jsonl"], files["pv.bin"], files["qv.bin"], files["tv.bin"],
+                       queries_path=files["q.jsonl"])
+
+
+def _repeat_passage(files):
+    with files["p.jsonl"].open("a") as fh:
+        fh.write(json.dumps({"id": "p1", "text": "physician again"}) + "\n")
+
+
+def _passage_vectors(*ids):
+    return lambda files: save_vectors(files["pv.bin"], ids, np.ones((len(ids), 4)))
+
+
+class TestLoadCorpus:
+    def test_reads_passages_in_file_order(self, tmp_path, career_kg, caplog):
+        files = _corpus_files(tmp_path)
+        eq = career_eq(career_kg)
+        corpus = _load_corpus_files(files, eq)
+        assert list(corpus.passages) == corpus.store.ids == ["p0", "p1", "p2"]
+        assert corpus.passages["p1"].text == "physician options"
+        assert set(corpus.token_docs) == {"p0", "p1"}
+        assert [r.getMessage() for r in caplog.records if r.name == "iseeq.kpr"] == [
+            "no token vectors for p2; WMD falls back to worst score"
+        ]
+        assert corpus.query_vecs["d1"].dtype == np.float64
+        assert corpus.query_docs["d1"].doc_id == "d1"
+
+    @pytest.mark.parametrize(
+        "edit,bad_id,named",
+        [
+            pytest.param(_repeat_passage, "p1", ("p.jsonl", "pv.bin"), id="repeated-passage"),
+            pytest.param(_passage_vectors("p0", "p1"), "p2", ("p.jsonl", "pv.bin"),
+                         id="passage-without-vector"),
+            pytest.param(_passage_vectors("p0", "p1", "p2", "orphan"), "orphan", ("pv.bin", "p.jsonl"),
+                         id="orphan-vector"),
+            pytest.param(lambda f: save_vectors(f["qv.bin"], ["other"], np.ones((1, 4))),
+                         "d1", ("q.jsonl", "qv.bin"), id="query-without-vector"),
+        ],
+    )
+    def test_id_rule_names_both_files(self, tmp_path, career_kg, edit, bad_id, named):
+        files = _corpus_files(tmp_path)
+        edit(files)
+        with pytest.raises(DataError) as exc:
+            _load_corpus_files(files, career_eq(career_kg))
+        message = str(exc.value)
+        assert f"{bad_id!r}" in message
+        assert all(str(files[name]) in message for name in named)
 
 
 QUERY_TEXTS = [
