@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .config import RunConfig, check_setting
 from .embeddings import read_lines
@@ -107,25 +108,34 @@ def extract_triples(kg: KnowledgeGraph, seeds: list[str], max_hops: int = RunCon
     out: list[Triple] = []
     emitted: set[tuple[str, str, str]] = set()
     best_depth: dict[str, int] = {}
+    # (depth, edges not yet taken) per entity being expanded: the same
+    # depth-first order as recursion, without a Python frame per hop.
+    stack: list[tuple[int, Iterator[Triple]]] = []
 
-    def visit(entity: str, depth: int) -> None:
+    def enter(entity: str, depth: int) -> None:
         # depth counts edges already taken; subjects sit at depth <= max_hops - 1.
         # Re-expand when reached at a strictly shallower depth, otherwise a
         # node first seen near the hop limit would hide its descendants.
         if depth > max_hops - 1 or best_depth.get(entity, max_hops) <= depth:
             return
         best_depth[entity] = depth
-        for triple in kg.outgoing(entity):
-            key = triple.as_tuple()
-            if key not in emitted:
-                emitted.add(key)
-                out.append(triple)
-            visit(triple.object, depth + 1)
+        stack.append((depth, iter(kg.outgoing(entity))))
 
     for seed in seeds:
         seed = canonical_entity(seed)
         if seed not in kg.entities:
             logger.debug("seed %r not in graph, skipping", seed)
             continue
-        visit(seed, 0)
+        enter(seed, 0)
+        while stack:
+            depth, edges = stack[-1]
+            triple = next(edges, None)
+            if triple is None:
+                stack.pop()
+                continue
+            key = triple.as_tuple()
+            if key not in emitted:
+                emitted.add(key)
+                out.append(triple)
+            enter(triple.object, depth + 1)
     return out

@@ -85,8 +85,9 @@ def load_corpus(queries: list[ExpandedQuery], passages_path: str | Path, vectors
     vectors and token docs of ``queries`` (expanded from ``queries_path``).
 
     The passages and ``vectors_path`` must hold the same ids, each passage once,
-    and each query needs a row in ``query_vectors_path``. A passage with no
-    token vectors gets no token doc, so ``retrieve`` scores it WMD inf.
+    and each query needs a row in ``query_vectors_path`` and at least one
+    word with a row in ``token_vectors_path``. A passage with no token
+    vectors gets no token doc, so ``retrieve`` scores it WMD inf.
     """
     records = [
         Passage(str(typed_field(record, "id", object, passages_path, line_no)),
@@ -121,7 +122,11 @@ def load_corpus(queries: list[ExpandedQuery], passages_path: str | Path, vectors
         if qid not in query_store:
             raise DataError(f"query {qid!r} of {queries_path} missing from {query_vectors_path}")
         query_vecs[qid] = query_store.row(qid).astype(np.float64)
-        query_docs[qid] = embeddings.build_token_doc(qid, tokenize_text(eq.augmented_text), token_store)
+        try:
+            query_docs[qid] = embeddings.build_token_doc(qid, tokenize_text(eq.augmented_text), token_store)
+        except EmptyInputError as exc:
+            raise EmptyInputError(f"query {qid!r} of {queries_path}: no word of its expanded text "
+                                  f"has a vector in {token_vectors_path}") from exc
     return Corpus(passages, store, token_docs, query_vecs, query_docs)
 
 
@@ -253,9 +258,18 @@ def coverage_loop(
     Each batch supplies passages, their vectors (one row per passage, in
     order) and their token docs. The index is rebuilt over the cumulative
     corpus each round and retrieval re-run for the still-uncovered
-    queries. Stops as soon as all queries hold at least one kept passage,
-    or the stream runs out (reported as incomplete, not an error).
+    queries. A query with no entities has NES 0, so no passage can cover
+    it: it is set aside before the first round, with one warning, and
+    reported uncovered. Stops as soon as every other query holds at least
+    one kept passage, or the stream runs out; either way a set-aside or
+    uncovered query makes the report incomplete, not an error.
     """
+    coverable = [eq for eq in queries if eq.entities]
+    if len(coverable) < len(queries):
+        logger.warning(
+            "queries %s have no entities, so no passage can cover them; set aside uncovered",
+            ", ".join(eq.source.id for eq in queries if not eq.entities),
+        )
     all_passages: dict[str, Passage] = {}
     all_docs: dict[str, TokenDoc] = {}
     ids: list[str] = []
@@ -263,7 +277,7 @@ def coverage_loop(
     covered: dict[str, list[str]] = {}
     per_round: list[tuple[int, int]] = []
 
-    for batch_passages, batch_matrix, batch_docs in batches:
+    for batch_passages, batch_matrix, batch_docs in batches if coverable else ():
         for passage in batch_passages:
             all_passages[passage.id] = passage
             ids.append(passage.id)
@@ -273,7 +287,7 @@ def coverage_loop(
         store = VectorStore(list(ids), np.vstack(rows))
         index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
         effective_top_n = min(top_n, len(store))
-        for eq in queries:
+        for eq in coverable:
             qid = eq.source.id
             if qid in covered:
                 continue
@@ -292,11 +306,10 @@ def coverage_loop(
             if result.kept:
                 covered[qid] = result.kept
         per_round.append((len(ids), len(covered)))
-        if len(covered) == len(queries):
+        if len(covered) == len(coverable):
             break
 
-    complete = len(covered) == len(queries)
-    if not complete:
+    if len(covered) < len(coverable):
         logger.warning(
             "corpus exhausted with %d of %d queries uncovered",
             len(queries) - len(covered), len(queries),
@@ -305,7 +318,7 @@ def coverage_loop(
         passages_scanned=len(ids),
         queries_covered=len(covered),
         per_round=per_round,
-        complete=complete,
+        complete=len(covered) == len(queries),
         covered_passages=covered,
     )
 

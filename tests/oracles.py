@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with different algorithms and
 data layouts than the package: breadth-first reachability instead of
-DFS, a dense two-phase tableau simplex instead of a network simplex on
+DFS, recursion instead of an explicit stack, a dense two-phase tableau simplex instead of a network simplex on
 the transport tree, memoized recursion instead of iterative DP,
 character-level scanning instead of token matching, and a batch rescored
 for every loss step instead of one pass. Slow and simple on purpose.
@@ -45,6 +45,27 @@ def bfs_triples(triples: list[tuple[str, str, str]], seeds: list[str], max_hops:
     return out
 
 
+def dfs_triples_recursive(kg, seeds: list[str], max_hops: int) -> list:
+    """Subject-rooted triples in depth-first order, one recursive call per
+    hop; an entity is expanded again when reached at a shallower depth."""
+    out, emitted, best_depth = [], set(), {}
+
+    def visit(entity: str, depth: int) -> None:
+        if depth >= max_hops or best_depth.get(entity, max_hops) <= depth:
+            return
+        best_depth[entity] = depth
+        for triple in kg.outgoing(entity):
+            if triple not in emitted:
+                emitted.add(triple)
+                out.append(triple)
+            visit(triple.object, depth + 1)
+
+    for seed in seeds:
+        if seed in kg.entities:
+            visit(seed, 0)
+    return out
+
+
 def all_substring_matches(lexicon: dict[str, str], text: str) -> set[tuple[int, int, str]]:
     """Every (start, end, entity) whose normalized token span is in the lexicon."""
     tokens = []
@@ -82,26 +103,38 @@ def brute_mips_ids(ids: list[str], matrix: np.ndarray, q: np.ndarray, n: int) ->
     return [ids[i] for i in order[:n]]
 
 
-def itq_build_allocating(store, code_bits: int, itq_iters: int, seed: int) -> dict:
-    """SITQ build with a fresh array for every step, as ``sitq.build_index``
-    did before it reused buffers: the same arithmetic in the same order, so
-    every output must match bit for bit. Codes are packed one Python int per
-    64-bit word, least significant bit first."""
+def itq_build_allocating(store, code_bits: int, itq_iters: int, seed: int, *,
+                         block_rows: int, sample_size: int) -> dict:
+    """SITQ build over one n x (dim + 1) augmented array, with a fresh array
+    for every step: the covariance summed over the same ``block_rows`` row
+    blocks as ``sitq.build_index``, the ITQ loop on the same seeded sample of
+    ``sample_size`` rows, and every row encoded at once. The arithmetic is
+    the same in the same order, so every output must match bit for bit.
+    Codes are packed one Python int per 64-bit word, least significant bit
+    first."""
     max_norm = float(store.norms.max())
     scaled = store.matrix.astype(np.float64) / max_norm
     resid = np.clip(1.0 - np.einsum("ij,ij->i", scaled, scaled), 0.0, None)
     aug = np.hstack([scaled, np.sqrt(resid)[:, None]])
-    mean = aug.mean(axis=0)
-    centered = aug - mean
+    n, dim_aug = aug.shape
+    total = np.zeros(dim_aug)
+    gram = np.zeros((dim_aug, dim_aug))
+    for start in range(0, n, block_rows):
+        block = aug[start : start + block_rows]
+        total += block.sum(axis=0)
+        gram += block.T @ block
+    mean = total / n
 
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    keep = min(code_bits, vt.shape[0])
-    projection = np.zeros((aug.shape[1], code_bits))
-    projection[:, :keep] = vt[:keep].T
-    v = centered @ projection
+    _, vecs = np.linalg.eigh(gram - n * np.outer(mean, mean))
+    projection = np.zeros((dim_aug, code_bits))
+    for j in range(min(code_bits, dim_aug)):
+        vec = vecs[:, dim_aug - 1 - j]  # eigh sorts ascending
+        projection[:, j] = vec if vec[np.argmax(np.abs(vec))] > 0.0 else -vec
 
     rng = np.random.default_rng(seed)
     rotation, _ = np.linalg.qr(rng.standard_normal((code_bits, code_bits)))
+    rows = np.sort(rng.choice(n, sample_size, replace=False)) if n > sample_size else np.arange(n)
+    v = (aug[rows] - mean) @ projection
     objective: list[float] = []
     for _ in range(itq_iters):
         b = np.where(v @ rotation >= 0.0, 1.0, -1.0)
@@ -109,9 +142,9 @@ def itq_build_allocating(store, code_bits: int, itq_iters: int, seed: int) -> di
         rotation = u @ wt
         objective.append(float(((v @ rotation - b) ** 2).sum()))
 
-    bits = v @ rotation >= 0.0
+    bits = (aug - mean) @ projection @ rotation >= 0.0
     words = -(-code_bits // 64)
-    codes = np.zeros((len(bits), words), dtype=np.uint64)
+    codes = np.zeros((n, words), dtype=np.uint64)
     for i, row in enumerate(bits):
         for w in range(words):
             codes[i, w] = sum(1 << j for j, bit in enumerate(row[64 * w : 64 * w + 64]) if bit)

@@ -101,6 +101,17 @@ class TestExpandQueryCommand:
         assert "career_options is related to career_choice, profession" in record["k_d"]
         assert ["career_options", "isrelatedto", "career_choice"] in record["triples"]
 
+    def test_hop_limit_beyond_recursion_depth(self, capsys, tmp_path):
+        kg = tmp_path / "kg.tsv"
+        kg.write_text("".join(f"node{i}\tisa\tnode{i + 1}\n" for i in range(3000)), encoding="utf-8")
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "q0", "text": "about node0 things"}) + "\n")
+        code, out, err = run_cli(
+            capsys, "expand-query", "--kg", str(kg), "--queries", str(queries), "--max-hops", "5000"
+        )
+        assert code == 0, err
+        assert json.loads(out)["triples"][0] == ["node0", "isa", "node1"]
+
     def test_phrase_file_bypasses_matcher(self, capsys, career_kg_path, tmp_path):
         queries = tmp_path / "q.jsonl"
         queries.write_text(json.dumps({"id": "d1", "text": CAREER_QUERY}) + "\n")
@@ -231,6 +242,38 @@ class TestIndexAndRetrieve:
         assert report["complete"] in (True, False)
         if report["complete"]:
             assert report["queries_covered"] == 1
+
+
+    def test_coverage_sets_aside_query_without_entities(self, capsys, caplog, tmp_path):
+        # "wind power" has no KG entity, so its NES is 0 and nothing can
+        # cover it; the loop stops once "solar power" is covered in round 3.
+        (tmp_path / "kg.tsv").write_text("solar\tisa\tpanel\n", encoding="utf-8")
+        (tmp_path / "q.jsonl").write_text(
+            "".join(json.dumps({"id": f"q{i}", "text": t}) + "\n"
+                    for i, t in enumerate(["solar power", "wind power"]))
+        )
+        texts = ["wind power", "grid power", "solar panel", "solar power", "wind", "grid"]
+        (tmp_path / "p.jsonl").write_text(
+            "".join(json.dumps({"id": f"p{i}", "text": t}) + "\n" for i, t in enumerate(texts))
+        )
+        passage_vecs = [[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]
+        save_vectors(tmp_path / "pv.bin", [f"p{i}" for i in range(6)], np.array(passage_vecs))
+        save_vectors(tmp_path / "qv.bin", ["q0", "q1"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        vocab = ["solar", "power", "wind", "panel", "grid", "isa"]
+        save_vectors(tmp_path / "tv.bin", vocab, np.random.default_rng(3).standard_normal((6, 2)))
+        code, out, err = run_cli(
+            capsys, "coverage", "--kg", str(tmp_path / "kg.tsv"), "--queries", str(tmp_path / "q.jsonl"),
+            "--passages", str(tmp_path / "p.jsonl"), "--passage-vectors", str(tmp_path / "pv.bin"),
+            "--query-vectors", str(tmp_path / "qv.bin"), "--token-vectors", str(tmp_path / "tv.bin"),
+            "--batch-size", "1", "--top-n", "2", "--top-k", "1",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["per_round"] == [[1, 0], [2, 0], [3, 1]]
+        assert report["covered_passages"] == {"q0": ["p2"]}
+        assert report["complete"] is False and report["passages_scanned"] == 3
+        assert caplog.text.count("q1 have no entities") == 1
+        assert "NES defaults to 0" not in caplog.text and "corpus exhausted" not in caplog.text
 
 
 class TestEvalRetrieverCommand:

@@ -284,6 +284,15 @@ def test_query_missing_from_vectors(capsys, workspace, command):
     assert "'q0'" in err and str(workspace / "q.jsonl") in err and str(workspace / "qv.bin") in err
 
 
+@pytest.mark.parametrize("command", [RETRIEVE, COVERAGE], ids=["retrieve", "coverage"])
+def test_query_without_token_vectors(capsys, workspace, command):
+    """A query with no word in ``--token-vectors`` names the queries and token-vectors files."""
+    save_vectors(workspace / "tv.bin", ["grid"], np.ones((1, 2)))
+    code, err = run_cli(capsys, *command, *inputs_argv(workspace))
+    assert code == 2, err
+    assert "'q0'" in err and str(workspace / "q.jsonl") in err and str(workspace / "tv.bin") in err
+
+
 class TestTextFile:
     def test_kg_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "kg.tsv"

@@ -3,7 +3,7 @@ import pytest
 from iseeq.errors import EmptyInputError, ParseError
 from iseeq.kg import Triple, canonical_entity, extract_triples, load_kg
 
-from oracles import bfs_triples
+from oracles import bfs_triples, dfs_triples_recursive
 
 
 def write_kg(tmp_path, lines, name="kg.tsv"):
@@ -85,6 +85,17 @@ class TestExtract:
     def test_zero_hops_rejected(self, career_kg):
         with pytest.raises(ValueError):
             extract_triples(career_kg, ["nurse"], max_hops=0)
+
+    def test_order_matches_recursive_walk_on_cyclic_graphs(self, tmp_path):
+        import random
+
+        rnd = random.Random(7)
+        for trial in range(20):
+            lines = {f"e{rnd.randrange(12)}\tr{rnd.randrange(2)}\te{rnd.randrange(12)}" for _ in range(30)}
+            kg = load_kg(write_kg(tmp_path, sorted(lines), name=f"kg{trial}.tsv"))
+            seeds = [f"e{rnd.randrange(12)}" for _ in range(3)]
+            for hops in (1, 2, 3, 5):
+                assert extract_triples(kg, seeds, max_hops=hops) == dfs_triples_recursive(kg, seeds, hops)
 
     def test_matches_bfs_oracle_on_random_dag(self, tmp_path):
         import random

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iseeq import sitq
 from iseeq.errors import DataError, EmptyInputError
 from iseeq.sitq import build_index, encode_query, load_index, query, save_index
 
@@ -70,33 +71,50 @@ class TestBuild:
             build_index(make_store(["a"], [[1.0]]), seed=-1)
 
     @pytest.mark.parametrize(
-        "rows,dim,code_bits,itq_iters,zero_row",
+        "rows,dim,code_bits,itq_iters,zero_row,sample,block",
         [
-            (5, 8, 64, 50, False),  # fewer rows than bits
-            (60, 6, 12, 20, False),  # code_bits > dim_aug
-            (300, 128, 16, 50, False),
-            (300, 128, 64, 50, False),
-            (300, 128, 100, 50, False),  # two u64 words
-            (300, 128, 64, 1, False),
-            (80, 10, 16, 30, True),
+            pytest.param(5, 8, 64, 50, False, None, None, id="5-8-64-50-False"),  # fewer rows than bits
+            pytest.param(60, 6, 12, 20, False, None, None, id="60-6-12-20-False"),  # code_bits > dim_aug
+            pytest.param(300, 128, 16, 50, False, None, None, id="300-128-16-50-False"),
+            pytest.param(300, 128, 64, 50, False, None, None, id="300-128-64-50-False"),
+            pytest.param(300, 128, 100, 50, False, None, None, id="300-128-100-50-False"),  # two u64 words
+            pytest.param(300, 128, 64, 1, False, None, None, id="300-128-64-1-False"),
+            pytest.param(80, 10, 16, 30, True, None, None, id="80-10-16-30-True"),
+            # covariance and codes over three blocks
+            pytest.param(80, 10, 16, 30, True, None, 32, id="80-10-16-30-True-block32"),
+            # ITQ on a 64-row sample
+            pytest.param(300, 128, 64, 50, False, 64, None, id="300-128-64-50-False-sample64"),
+            # sampled, two words, five blocks
+            pytest.param(300, 16, 100, 20, False, 64, 64, id="300-16-100-20-False-sample64-block64"),
+            # one row more than the sample, then exactly the sample: every row
+            pytest.param(65, 12, 16, 10, False, 64, None, id="65-12-16-10-False-sample64"),
+            pytest.param(64, 12, 16, 10, False, 64, None, id="64-12-16-10-False-sample64"),
         ],
     )
-    def test_matches_allocating_build(self, caplog, rows, dim, code_bits, itq_iters, zero_row):
+    def test_matches_allocating_build(self, caplog, monkeypatch, rows, dim, code_bits, itq_iters,
+                                      zero_row, sample, block):
+        if sample is not None:
+            monkeypatch.setattr(sitq, "ITQ_SAMPLE", sample)
+        if block is not None:
+            monkeypatch.setattr(sitq, "BLOCK_ROWS", block)
         rng = np.random.default_rng(rows + code_bits + itq_iters)
         matrix = rng.standard_normal((rows, dim))
         if zero_row:
             matrix[rows // 2] = 0.0
         store = make_store([f"v{i}" for i in range(rows)], matrix)
         index = build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=3)
-        expected = itq_build_allocating(store, code_bits, itq_iters, seed=3)
+        expected = itq_build_allocating(store, code_bits, itq_iters, seed=3,
+                                        block_rows=sitq.BLOCK_ROWS, sample_size=sitq.ITQ_SAMPLE)
         for name in ("mean", "projection", "rotation", "codes"):
             assert np.array_equal(getattr(index, name), expected[name]), name
         assert index.itq_objective == expected["itq_objective"]
         assert ("exceeds augmented dim" in caplog.text) == (code_bits > dim + 1)
 
     def test_peak_memory(self):
-        # Through the SVD the build holds two n x (dim + 1) arrays: the
-        # centered matrix and the SVD's U. A fresh array per step read 3.6x.
+        # The covariance and the codes go through 2,048-row blocks. With
+        # fewer rows than the ITQ sample, ITQ sees every row: their augmented
+        # matrix, then its projection and two buffers of that size set the
+        # peak here (1.55x).
         rng = np.random.default_rng(8)
         rows, dim = 8000, 128
         store = random_store(rng, rows, dim)
