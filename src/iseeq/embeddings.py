@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 VEC_MAGIC = b"ISEQVEC1"
 MAX_ID_BYTES = 0xFFFF  # the binary formats store an id's UTF-8 length in a u16
+NORM_BLOCK_ROWS = 1024  # rows widened to float64 at a time for the norms
 
 
 @dataclass
@@ -42,7 +43,10 @@ class VectorStore:
 
     def __post_init__(self):
         self.dim = self.matrix.shape[1]
-        self.norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
+        self.norms = np.empty(len(self.matrix))  # per row, so blocks give the same bits
+        for start in range(0, len(self.matrix), NORM_BLOCK_ROWS):
+            block = self.matrix[start : start + NORM_BLOCK_ROWS].astype(np.float64)
+            self.norms[start : start + NORM_BLOCK_ROWS] = np.linalg.norm(block, axis=1)
         self._row_of = {pid: i for i, pid in enumerate(self.ids)}
         if not len(self._row_of) == len(self.ids) == len(self.matrix):
             raise DataError(f"vector store needs one id per row, no duplicates; got {len(self.ids)} "

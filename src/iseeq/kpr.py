@@ -262,7 +262,9 @@ def coverage_loop(
     it: it is set aside before the first round, with one warning, and
     reported uncovered. Stops as soon as every other query holds at least
     one kept passage, or the stream runs out; either way a set-aside or
-    uncovered query makes the report incomplete, not an error.
+    uncovered query makes the report incomplete, not an error. A
+    :mod:`sitq` warning that every round would repeat, such as
+    ``code_bits`` exceeding the augmented dim, is logged once per call.
     """
     coverable = [eq for eq in queries if eq.entities]
     if len(coverable) < len(queries):
@@ -277,37 +279,48 @@ def coverage_loop(
     covered: dict[str, list[str]] = {}
     per_round: list[tuple[int, int]] = []
 
-    for batch_passages, batch_matrix, batch_docs in batches if coverable else ():
-        for passage in batch_passages:
-            all_passages[passage.id] = passage
-            ids.append(passage.id)
-        all_docs.update(batch_docs)
-        rows.append(np.asarray(batch_matrix, dtype=np.float32))
+    seen: set[str] = set()
 
-        store = VectorStore(list(ids), np.vstack(rows))
-        index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
-        effective_top_n = min(top_n, len(store))
-        for eq in coverable:
-            qid = eq.source.id
-            if qid in covered:
-                continue
-            result = retrieve(
-                index,
-                all_passages,
-                all_docs,
-                eq,
-                query_vecs[qid],
-                query_docs[qid],
-                top_n=effective_top_n,
-                k=min(k, effective_top_n),
-                nes_threshold=nes_threshold,
-                probe=probe,
-            )
-            if result.kept:
-                covered[qid] = result.kept
-        per_round.append((len(ids), len(covered)))
-        if len(covered) == len(coverable):
-            break
+    def first_time(record: logging.LogRecord) -> bool:  # each round's build repeats its warnings
+        fresh = record.getMessage() not in seen
+        seen.add(record.getMessage())
+        return fresh
+
+    sitq.logger.addFilter(first_time)
+    try:
+        for batch_passages, batch_matrix, batch_docs in batches if coverable else ():
+            for passage in batch_passages:
+                all_passages[passage.id] = passage
+                ids.append(passage.id)
+            all_docs.update(batch_docs)
+            rows.append(np.asarray(batch_matrix, dtype=np.float32))
+
+            store = VectorStore(list(ids), np.vstack(rows))
+            index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
+            effective_top_n = min(top_n, len(store))
+            for eq in coverable:
+                qid = eq.source.id
+                if qid in covered:
+                    continue
+                result = retrieve(
+                    index,
+                    all_passages,
+                    all_docs,
+                    eq,
+                    query_vecs[qid],
+                    query_docs[qid],
+                    top_n=effective_top_n,
+                    k=min(k, effective_top_n),
+                    nes_threshold=nes_threshold,
+                    probe=probe,
+                )
+                if result.kept:
+                    covered[qid] = result.kept
+            per_round.append((len(ids), len(covered)))
+            if len(covered) == len(coverable):
+                break
+    finally:
+        sitq.logger.removeFilter(first_time)
 
     if len(covered) < len(coverable):
         logger.warning(

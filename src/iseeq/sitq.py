@@ -11,7 +11,15 @@ them by exact inner product.
 
 Code row i belongs to row i of the index's vector store, so a query
 reads the store's norms and rows with no row map; :func:`load_index`
-puts a file's codes in the store's row order once.
+puts a file's codes in the store's row order once. Each index also
+holds ``rank``, every id's place in Python ``str`` order, so ties break
+on integers rather than strings. A query does O(rows) work once: it
+counts the rows at each Hamming distance, takes the cutoff as the
+smallest distance at which the running count reaches ``probe``, keeps
+every row below the cutoff, and sorts only the rows at the cutoff (by
+larger norm, then id rank) to fill the probe set. The probe set is then
+put in (distance, -norm, id rank) order, which is the order a full sort
+of every row would give, before the exact inner products.
 
 Build is deterministic given the seed (the rotation init and the ITQ
 sample are its only randomized steps). Two passes read the rows in
@@ -53,7 +61,7 @@ BLOCK_ROWS = 2048  # rows augmented at a time for the covariance and the encodin
 ITQ_SAMPLE = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     passage_id: str
     hamming: int
@@ -69,6 +77,12 @@ class SitqIndex:
     codes: np.ndarray  # (len(raw), words) uint64, packed sign bits of raw's rows
     raw: VectorStore
     itq_objective: list[float] = field(default_factory=list)
+    rank: np.ndarray = field(init=False, repr=False)  # (len(raw),) each id's place in str order
+
+    def __post_init__(self):
+        ids = self.raw.ids
+        self.rank = np.empty(len(ids), dtype=np.intp)
+        self.rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
     @property
     def ids(self) -> list[str]:
@@ -199,8 +213,9 @@ def query(
     Returns up to ``top_n`` candidates ordered by exact inner product
     (descending, ties by id). ``probe`` rows with the smallest Hamming
     distance are examined; equal distances are broken by larger stored
-    norm first (the better MIPS bet), then id. ``probe`` below ``top_n``
-    is raised to it.
+    norm first (the better MIPS bet), then id. Ids compare in ``str``
+    order, and each ``passage_id`` is the store's own id object.
+    ``probe`` below ``top_n`` is raised to it.
     """
     check_setting("top_n", top_n)
     if probe is None:
@@ -211,18 +226,22 @@ def query(
     probe = min(probe, len(index))
 
     qcode = encode_query(index, q)
-    hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1)
-    ids_arr = np.asarray(index.ids)
-    pick = np.lexsort((ids_arr, -index.raw.norms, hamming))[:probe]
+    hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1, dtype=np.intp)
+    norms, rank = index.raw.norms, index.rank
+    # The cutoff is the smallest distance that reaches ``probe`` rows: every
+    # row below it is taken, and only the rows at it are ranked to fill up.
+    cutoff = int(np.searchsorted(np.cumsum(np.bincount(hamming)), probe))
+    below = np.flatnonzero(hamming < cutoff)
+    tied = np.flatnonzero(hamming == cutoff)
+    tied = tied[np.lexsort((rank[tied], -norms[tied]))[: probe - len(below)]]
+    pick = np.concatenate((below, tied))
+    pick = pick[np.lexsort((rank[pick], -norms[pick], hamming[pick]))]
 
     ips = index.raw.matrix[pick].astype(np.float64) @ np.asarray(q, dtype=np.float64)
-    order = np.lexsort((ids_arr[pick], -ips))[:top_n]
+    order = np.lexsort((rank[pick], -ips))[:top_n]
+    ids = index.raw.ids
     return [
-        Candidate(
-            passage_id=str(ids_arr[pick[i]]),
-            hamming=int(hamming[pick[i]]),
-            inner_product=float(ips[i]),
-        )
+        Candidate(passage_id=ids[pick[i]], hamming=int(hamming[pick[i]]), inner_product=float(ips[i]))
         for i in order
     ]
 

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms and
 data layouts than the package: breadth-first reachability instead of
 DFS, recursion instead of an explicit stack, a dense two-phase tableau simplex instead of a network simplex on
 the transport tree, memoized recursion instead of iterative DP,
-character-level scanning instead of token matching, and a batch rescored
+character-level scanning instead of token matching, a full sort of every
+indexed row by string id instead of a Hamming cutoff, and a batch rescored
 for every loss step instead of one pass. Slow and simple on purpose.
 """
 
@@ -150,6 +151,33 @@ def itq_build_allocating(store, code_bits: int, itq_iters: int, seed: int, *,
             codes[i, w] = sum(1 << j for j, bit in enumerate(row[64 * w : 64 * w + 64]) if bit)
     return {"mean": mean, "projection": projection, "rotation": rotation,
             "codes": codes, "itq_objective": objective}
+
+
+def sitq_query_lexsort(index, q: np.ndarray, top_n: int, probe: int | None = None) -> list:
+    """SITQ query by one ``lexsort`` of every row on (hamming, -norm, id
+    string), then the probe set re-ranked on (-inner product, id string).
+    numpy's string keys drop trailing NULs, so ids that differ only there
+    are out of scope."""
+    from iseeq.sitq import Candidate, encode_query
+
+    if probe is None:
+        probe = 8 * top_n
+    probe = min(max(probe, top_n), len(index))
+    qcode = encode_query(index, q)
+    hamming = np.bitwise_count(index.codes ^ qcode).sum(axis=1)
+    ids_arr = np.asarray(index.ids)
+    pick = np.lexsort((ids_arr, -index.raw.norms, hamming))[:probe]
+
+    ips = index.raw.matrix[pick].astype(np.float64) @ np.asarray(q, dtype=np.float64)
+    order = np.lexsort((ids_arr[pick], -ips))[:top_n]
+    return [
+        Candidate(
+            passage_id=str(ids_arr[pick[i]]),
+            hamming=int(hamming[pick[i]]),
+            inner_product=float(ips[i]),
+        )
+        for i in order
+    ]
 
 
 def lcs_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:

@@ -77,3 +77,15 @@ def test_index_exposes_what_workloads_read(tmp_path):
         assert len(index) == 20
         assert index.ids == ids
     assert np.array_equal(loaded.codes, built.codes)
+
+
+def test_query_results_expose_what_checks_read():
+    """``checks.check_ann`` and ``checks.recall`` read each candidate's
+    ``passage_id`` and ``inner_product``; ``hamming`` is part of the record."""
+    ids = [f"v{i}" for i in range(20)]
+    matrix = np.random.default_rng(1).standard_normal((20, 3)).astype(np.float32)
+    index = sitq.build_index(VectorStore(ids, matrix), code_bits=8, itq_iters=2)
+    (top,) = sitq.query(index, np.array([1.0, 0.0, 0.0]), top_n=1, probe=20)
+    assert top.passage_id in ids
+    assert isinstance(top.hamming, int) and 0 <= top.hamming <= 8
+    assert top.inner_product == float(matrix[ids.index(top.passage_id)].astype(np.float64) @ [1.0, 0.0, 0.0])

@@ -273,6 +273,10 @@ class TestIndexAndRetrieve:
         assert report["covered_passages"] == {"q0": ["p2"]}
         assert report["complete"] is False and report["passages_scanned"] == 3
         assert caplog.text.count("q1 have no entities") == 1
+        # code_bits 64 > augmented dim 3 in each of the 3 rounds; warned once
+        assert [r.getMessage() for r in caplog.records if "exceeds augmented dim" in r.getMessage()] == [
+            "code_bits=64 exceeds augmented dim 3; extra bits carry no signal"
+        ]
         assert "NES defaults to 0" not in caplog.text and "corpus exhausted" not in caplog.text
 
 

@@ -1,9 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from iseeq.embeddings import TokenDoc, build_token_doc, load_vectors, save_vectors, typed_field
+from iseeq.embeddings import (
+    TokenDoc,
+    VectorStore,
+    build_token_doc,
+    load_vectors,
+    save_vectors,
+    typed_field,
+)
 from iseeq.errors import DataError, EmptyInputError, ParseError
 
 from conftest import make_store
@@ -80,6 +88,31 @@ class TestJsonl:
         # self-cosine through the stored norms is 1
         cos = np.einsum("ij,ij->i", store.matrix, store.matrix) / store.norms**2
         assert np.abs(cos - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("rows,dim", [(4097, 17), (2048, 5), (1, 3), (0, 3)])
+def test_store_norms_match_the_whole_matrix(rows, dim):
+    # blocks of NORM_BLOCK_ROWS rows, and a partial last block, give the
+    # bits of one norm over the whole float64 matrix
+    matrix = np.random.default_rng(rows).standard_normal((rows, dim)).astype(np.float32)
+    store = VectorStore([f"v{i}" for i in range(rows)], matrix)
+    assert store.norms.dtype == np.float64
+    assert np.array_equal(store.norms, np.linalg.norm(matrix.astype(np.float64), axis=1))
+
+
+def test_store_peak_memory():
+    # Widening the whole matrix to float64 for the norms took about 2x
+    # n * dim * 8 bytes; a block at a time takes a few blocks' worth.
+    rows, dim = 8000, 128
+    matrix = np.random.default_rng(0).standard_normal((rows, dim)).astype(np.float32)
+    ids = [f"v{i}" for i in range(rows)]
+    tracemalloc.start()
+    try:
+        VectorStore(ids, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * rows * dim * 8
 
 
 def test_store_needs_one_id_per_row():

@@ -8,7 +8,7 @@ from iseeq.errors import DataError, EmptyInputError
 from iseeq.sitq import build_index, encode_query, load_index, query, save_index
 
 from conftest import make_store, random_store
-from oracles import brute_mips_ids, itq_build_allocating
+from oracles import brute_mips_ids, itq_build_allocating, sitq_query_lexsort
 
 
 class TestBuild:
@@ -211,6 +211,76 @@ class TestQuery:
             true_top = set(brute_mips_ids(store.ids, store.matrix, q, 100))
             overlaps.append(len(got & true_top) / 100)
         assert np.mean(overlaps) >= 0.40
+
+    def test_ids_that_differ_by_trailing_nuls(self):
+        # Identical rows tie on distance, norm and inner product, so the
+        # ids alone order the result, in str order; each is the store's own.
+        ids = ["s", "p\x00", "q", "p", "q\x00\x00", "r"]
+        store = make_store(ids, np.ones((6, 3)))
+        index = build_index(store, code_bits=4, itq_iters=3, seed=0)
+        result = query(index, np.array([1.0, 0.5, 0.0]), top_n=6, probe=6)
+        assert [c.passage_id for c in result] == ["p", "p\x00", "q", "q\x00\x00", "r", "s"]
+        assert all(any(c.passage_id is pid for pid in store.ids) for c in result)
+
+
+def _store(rows, dim, seed, repeat=1):
+    """Random rows, each repeated ``repeat`` times in a row, under ids whose
+    order is not the row order."""
+    rng = np.random.default_rng(seed)
+    matrix = np.repeat(rng.standard_normal((rows, dim)), repeat, axis=0)
+    return make_store([f"r{i:04d}" for i in rng.permutation(len(matrix))], matrix)
+
+
+def _one_distance(tmp_path):
+    index = build_index(_store(200, 6, 4), code_bits=8, itq_iters=5, seed=0)
+    index.codes[:] = 0  # every row is at the query code's popcount
+    return index
+
+
+def _loaded_over_shuffled_store(tmp_path):
+    store = _store(300, 10, 5)
+    save_index(build_index(store, code_bits=16, itq_iters=10, seed=2), tmp_path / "index.bin")
+    perm = np.random.default_rng(6).permutation(len(store))
+    return load_index(tmp_path / "index.bin", make_store([store.ids[i] for i in perm], store.matrix[perm]))
+
+
+INDEXES = {
+    "bits2": lambda tmp_path: build_index(_store(300, 12, 1), code_bits=2, itq_iters=5, seed=0),
+    "bits4": lambda tmp_path: build_index(_store(300, 12, 1), code_bits=4, itq_iters=5, seed=0),
+    "bits8": lambda tmp_path: build_index(_store(300, 12, 1), code_bits=8, itq_iters=5, seed=0),
+    "bits64": lambda tmp_path: build_index(_store(300, 12, 1), code_bits=64, itq_iters=5, seed=0),
+    # equal codes and equal norms: the id is the only tie-break
+    "duplicated-rows": lambda tmp_path: build_index(_store(60, 8, 2, repeat=5), code_bits=8,
+                                                    itq_iters=5, seed=0),
+    "one-distance": _one_distance,
+    "loaded-shuffled": _loaded_over_shuffled_store,
+}
+
+
+class TestQueryMatchesFullSort:
+    """``query`` ranks only the rows at the cutoff distance; the oracle sorts
+    every row. Hamming distances and inner products must match exactly."""
+
+    @pytest.mark.parametrize("name", list(INDEXES))
+    @pytest.mark.parametrize("top_n,probe", [(10, 10), (10, 37), (10, None), (10, 300), (10, 10_000)],
+                             ids=["probe-eq-top-n", "probe-37", "probe-default", "probe-300",
+                                  "probe-past-rows"])
+    def test_same_candidates(self, tmp_path, name, top_n, probe):
+        index = INDEXES[name](tmp_path)
+        rng = np.random.default_rng(len(name))
+        for _ in range(8):
+            q = rng.standard_normal(index.raw.dim)
+            assert query(index, q, top_n=top_n, probe=probe) == sitq_query_lexsort(index, q, top_n, probe)
+
+    def test_cutoff_inside_a_run_of_equal_distances(self):
+        index = INDEXES["bits2"](None)
+        rng = np.random.default_rng(7)
+        for probe in (5, 50, 120, 250):
+            q = rng.standard_normal(index.raw.dim)
+            hamming = np.bitwise_count(index.codes ^ encode_query(index, q)).sum(axis=1)
+            cutoff = np.sort(hamming)[probe - 1]
+            assert (hamming < cutoff).sum() < probe < (hamming <= cutoff).sum()
+            assert query(index, q, top_n=5, probe=probe) == sitq_query_lexsort(index, q, 5, probe)
 
 
 class TestPersistence:
