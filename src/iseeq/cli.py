@@ -27,6 +27,7 @@ from .embeddings import build_token_doc, load_token_docs, load_vectors  # noqa: 
 from .errors import DataError, IseeqError
 from .kg import load_kg
 from .sqe import ExpandedQuery, expand_query, load_phrases, load_queries, resolve_phrases
+from .wmd import wmd_exact
 
 logger = logging.getLogger("iseeq")
 
@@ -183,8 +184,6 @@ def cmd_eval_retriever(args, cfg: RunConfig) -> int:
 
 
 def cmd_wmd(args, cfg: RunConfig) -> int:
-    from .wmd import wmd_exact
-
     lookup = load_vectors(args.vectors)
     docs_a = load_token_docs(args.docs_a, lookup)
     docs_b = load_token_docs(args.docs_b, lookup)

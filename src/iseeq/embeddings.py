@@ -260,8 +260,8 @@ class TokenDoc:
 def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> TokenDoc:
     """Assemble a TokenDoc from raw tokens and a token-vector lookup.
 
-    Unknown tokens are dropped with a warning. Raises
-    :class:`EmptyInputError` when nothing survives.
+    Raises :class:`EmptyInputError` when no token has a vector; otherwise
+    unknown tokens are dropped with a warning.
     """
     counts: dict[str, int] = {}
     dropped = 0
@@ -270,10 +270,10 @@ def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> Toke
             counts[token] = counts.get(token, 0) + 1
         else:
             dropped += 1
-    if dropped:
-        logger.warning("doc %s: dropped %d tokens missing from lookup", doc_id, dropped)
     if not counts:
         raise EmptyInputError(f"doc {doc_id}: no tokens with vectors")
+    if dropped:
+        logger.warning("doc %s: dropped %d tokens missing from lookup", doc_id, dropped)
     kept = list(counts)
     total = sum(counts.values())
     vectors = lookup.matrix[[lookup.row_index(t) for t in kept]]

@@ -5,9 +5,10 @@ re-scoring of the candidates, and normalized-entity-score (NES)
 re-ranking with a strict threshold filter. NES is the fraction of the
 query's entities that appear in the passage, each entity counted once
 no matter how often it occurs. The module also loads the corpus and
-holds its id rules, runs the iterative coverage loop over a streamed
-corpus and the retriever evaluation (hit rate, mean average
-precision), and reads their input files.
+holds its id rules, runs the iterative coverage loop (round r indexes
+the first r·batch_size passages, gathered once in passage order) and
+the retriever evaluation (hit rate, mean average precision), and reads
+their input files.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def coverage_loop(
     queries: list[ExpandedQuery],
     query_vecs: dict[str, np.ndarray],
     query_docs: dict[str, TokenDoc],
-    batches: Iterable[tuple[list[Passage], np.ndarray, dict[str, TokenDoc]]],
+    rounds: Iterable[tuple[VectorStore, dict[str, Passage], dict[str, TokenDoc]]],
     *,
     code_bits: int = RunConfig.code_bits,
     itq_iters: int = RunConfig.itq_iters,
@@ -253,15 +254,16 @@ def coverage_loop(
     nes_threshold: float = RunConfig.nes_threshold,
     probe: int | None = None,
 ) -> CoverageReport:
-    """Grow the corpus batch by batch until every query has a passage.
+    """Grow the corpus round by round until every query has a passage.
 
-    Each batch supplies passages, their vectors (one row per passage, in
-    order) and their token docs. The index is rebuilt over the cumulative
-    corpus each round and retrieval re-run for the still-uncovered
+    Each round, as :func:`batch_passages` yields it, is the store of the
+    corpus indexed so far (the first r·batch_size passages) with passage
+    and token-doc tables that hold at least its ids. The index is rebuilt
+    over that store each round and retrieval re-run for the still-uncovered
     queries. A query with no entities has NES 0, so no passage can cover
     it: it is set aside before the first round, with one warning, and
     reported uncovered. Stops as soon as every other query holds at least
-    one kept passage, or the stream runs out; either way a set-aside or
+    one kept passage, or the rounds run out; either way a set-aside or
     uncovered query makes the report incomplete, not an error. A
     :mod:`sitq` warning that every round would repeat, such as
     ``code_bits`` exceeding the augmented dim, is logged once per call.
@@ -272,12 +274,9 @@ def coverage_loop(
             "queries %s have no entities, so no passage can cover them; set aside uncovered",
             ", ".join(eq.source.id for eq in queries if not eq.entities),
         )
-    all_passages: dict[str, Passage] = {}
-    all_docs: dict[str, TokenDoc] = {}
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
     covered: dict[str, list[str]] = {}
     per_round: list[tuple[int, int]] = []
+    scanned = 0
 
     seen: set[str] = set()
 
@@ -288,24 +287,18 @@ def coverage_loop(
 
     sitq.logger.addFilter(first_time)
     try:
-        for batch_passages, batch_matrix, batch_docs in batches if coverable else ():
-            for passage in batch_passages:
-                all_passages[passage.id] = passage
-                ids.append(passage.id)
-            all_docs.update(batch_docs)
-            rows.append(np.asarray(batch_matrix, dtype=np.float32))
-
-            store = VectorStore(list(ids), np.vstack(rows))
+        for store, passages, token_docs in rounds if coverable else ():
+            scanned = len(store)
             index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
-            effective_top_n = min(top_n, len(store))
+            effective_top_n = min(top_n, scanned)
             for eq in coverable:
                 qid = eq.source.id
                 if qid in covered:
                     continue
                 result = retrieve(
                     index,
-                    all_passages,
-                    all_docs,
+                    passages,
+                    token_docs,
                     eq,
                     query_vecs[qid],
                     query_docs[qid],
@@ -316,7 +309,7 @@ def coverage_loop(
                 )
                 if result.kept:
                     covered[qid] = result.kept
-            per_round.append((len(ids), len(covered)))
+            per_round.append((scanned, len(covered)))
             if len(covered) == len(coverable):
                 break
     finally:
@@ -328,7 +321,7 @@ def coverage_loop(
             len(queries) - len(covered), len(queries),
         )
     return CoverageReport(
-        passages_scanned=len(ids),
+        passages_scanned=scanned,
         queries_covered=len(covered),
         per_round=per_round,
         complete=len(covered) == len(queries),
@@ -422,12 +415,19 @@ def batch_passages(
     store: VectorStore,
     token_docs: dict[str, TokenDoc],
     batch_size: int,
-) -> Iterator[tuple[list[Passage], np.ndarray, dict[str, TokenDoc]]]:
-    """Slice a fully-loaded corpus into coverage-loop batches."""
+) -> Iterator[tuple[VectorStore, dict[str, Passage], dict[str, TokenDoc]]]:
+    """The coverage-loop rounds over a fully loaded corpus.
+
+    The store's rows are gathered into passage order once; round r is a
+    store over the first r·batch_size of them (the last round holds the
+    rest), with the whole passage and token-doc tables, since
+    :func:`retrieve` looks up only indexed ids.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    for start in range(0, len(passages), batch_size):
-        chunk = passages[start : start + batch_size]
-        matrix = np.vstack([store.row(p.id) for p in chunk])
-        docs = {p.id: token_docs[p.id] for p in chunk if p.id in token_docs}
-        yield chunk, matrix, docs
+    ids = [p.id for p in passages]
+    matrix = store.matrix[[store.row_index(pid) for pid in ids]]
+    table = {p.id: p for p in passages}
+    for start in range(0, len(ids), batch_size):
+        end = min(start + batch_size, len(ids))
+        yield VectorStore(ids[:end], matrix[:end]), table, token_docs

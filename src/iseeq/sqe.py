@@ -94,7 +94,6 @@ class ExpandedQuery:
 
     source: QueryDescription
     entities: list[str]
-    spans: list[tuple[int, int]]
     triples_by_entity: dict[str, list[Triple]]
     augmented_text: str
     injections: list[tuple[int, str]] = field(default_factory=list)
@@ -256,7 +255,6 @@ def expand_query(
     return ExpandedQuery(
         source=query,
         entities=list(entities),
-        spans=list(spans),
         triples_by_entity=triples_by_entity,
         augmented_text="".join(pieces),
         injections=injections,

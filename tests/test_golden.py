@@ -7,18 +7,23 @@ prints ``Infinity`` for it. Ids, order, entities, NES and ``kept`` are
 compared exactly, floats to 1e-9. The workspace path is replaced by
 ``$WS`` before comparing.
 
-After an intended output change, re-record with
+``PYTHONPATH=src:tests python tests/test_golden.py --check`` runs the
+invocations and compares each stdout with its ``.out`` file byte for
+byte; it lists the files that differ, exits 1 if any does, and writes
+nothing. After an intended output change, re-record with
 ``PYTHONPATH=src:tests python tests/test_golden.py`` and say why in
 CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +31,7 @@ import numpy as np
 import pytest
 
 from iseeq.cli import main
-from iseeq.embeddings import save_vectors
+from iseeq.embeddings import load_vectors, save_vectors
 
 import synth
 
@@ -101,14 +106,19 @@ def run_all(root: Path) -> dict[str, str]:
     ws = make_workspace(root)
     outputs = {}
     for name, argv in invocations(ws):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        assert code == 0, f"{name} exited {code}"
+        text = _stdout(argv, name)
         if name == "retrieve_index":
-            Path(ws["results.json"]).write_text(buf.getvalue(), encoding="utf-8")
-        outputs[name] = buf.getvalue().replace(str(root), "$WS")
+            Path(ws["results.json"]).write_text(text, encoding="utf-8")
+        outputs[name] = text.replace(str(root), "$WS")
     return outputs
+
+
+def _stdout(argv: list[str], name: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, f"{name} exited {code}"
+    return buf.getvalue()
 
 
 def _same(got, want) -> bool:
@@ -149,10 +159,45 @@ def test_retrieve_prints_infinity_for_passages_without_vectors(outputs):
     assert "Infinity" in outputs["retrieve_index"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--batch-size", "30", "--top-n", "10", "--top-k", "3"]])
+def test_coverage_ignores_passage_vector_row_order(tmp_path, extra):
+    """With ``top_n`` below the round size, the candidates depend on the vectors."""
+    ws = make_workspace(tmp_path)
+    argv = dict(invocations(ws))["coverage"] + extra
+    aligned = _stdout(argv, "coverage")
+    store = load_vectors(ws["passage_vecs.bin"])
+    order = np.random.default_rng(11).permutation(len(store))
+    save_vectors(ws["passage_vecs.bin"], [store.ids[i] for i in order], store.matrix[order])
+    assert _stdout(argv, "coverage") == aligned
+
+
+def _differing(outputs: dict[str, str]) -> list[str]:
+    """Golden ``.out`` files whose bytes differ from ``outputs``, or that
+    only one side has."""
+    return sorted(
+        f"{name}.out" for name in set(outputs) | set(NAMES)
+        if name not in outputs or not (GOLDEN / f"{name}.out").exists()
+        or (GOLDEN / f"{name}.out").read_bytes() != outputs[name].encode("utf-8")
+    )
+
+
 if __name__ == "__main__":
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Re-record the golden stdout files, or check them.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare byte for byte, list the files that differ, write nothing")
+    args = parser.parse_args()
+    os.environ.setdefault("ISEEQ_LOG", "error")  # the invocations' warnings would bury the result
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in run_all(Path(tmp)).items():
-            (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
-            print(f"recorded {name}.out", file=sys.stderr)
+        outputs = run_all(Path(tmp))
+    if args.check:
+        differ = _differing(outputs)
+        total = len(set(outputs) | set(NAMES))
+        for name in differ:
+            print(f"differs: {name}", file=sys.stderr)
+        print(f"{total - len(differ)} of {total} golden files byte-identical", file=sys.stderr)
+        sys.exit(1 if differ else 0)
+    for name, text in outputs.items():
+        (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+        print(f"recorded {name}.out", file=sys.stderr)

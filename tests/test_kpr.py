@@ -295,6 +295,14 @@ class TestLoadCorpus:
         assert corpus.query_vecs["d1"].dtype == np.float64
         assert corpus.query_docs["d1"].doc_id == "d1"
 
+    def test_passage_without_token_vectors_warns_once(self, tmp_path, career_kg, caplog):
+        files = _corpus_files(tmp_path)
+        with caplog.at_level(logging.DEBUG):
+            _load_corpus_files(files, career_eq(career_kg))
+        assert [(r.name, r.getMessage()) for r in caplog.records if "p2" in r.getMessage()] == [
+            ("iseeq.kpr", "no token vectors for p2; WMD falls back to worst score")
+        ]
+
     @pytest.mark.parametrize(
         "edit,bad_id,named",
         [
@@ -329,8 +337,10 @@ COVER_TEXTS = [
 ]
 
 
-def _coverage_fixture(tmp_path, n_queries=3, per_batch=5):
-    """Four batches; query i is covered exactly by a passage in batch i."""
+def _coverage_fixture(tmp_path, n_queries=3, per_batch=5, covering=True):
+    """Four batches of ``per_batch`` passages; query i is covered exactly by
+    the first passage of batch i. ``covering=False`` leaves those passages
+    (and their vector rows) out of the corpus."""
     kg = synth.load_synth_kg(tmp_path)
     rng = np.random.default_rng(50)
     queries = []
@@ -338,23 +348,15 @@ def _coverage_fixture(tmp_path, n_queries=3, per_batch=5):
         queries.append(
             expand_query(kg, QueryDescription(id=f"q{i}", text=QUERY_TEXTS[i]))
         )
-    batches = []
-    all_passages = []
-    for b in range(4):
-        texts = []
-        for j in range(per_batch):
-            if j == 0 and b < n_queries:
-                texts.append(COVER_TEXTS[b])
-            else:
-                texts.append(f"filler only w{b} w{j} nothing else")
-        batch_pass = [Passage(id=f"b{b}p{j}", text=t) for j, t in enumerate(texts)]
-        all_passages.extend(batch_pass)
-        batches.append(batch_pass)
+    passages = [
+        Passage(id=f"b{b}p{j}",
+                text=COVER_TEXTS[b] if j == 0 and b < n_queries else f"filler only w{b} w{j} nothing else")
+        for b in range(4)
+        for j in range(per_batch)
+    ]
 
     query_tokens = {t for text in QUERY_TEXTS for t in tokenize_text(text)}
-    vocab = sorted({t for p in all_passages for t in p.tokens} | query_tokens)
-    from conftest import make_store
-
+    vocab = sorted({t for p in passages for t in p.tokens} | query_tokens)
     token_store = make_store(vocab, rng.standard_normal((len(vocab), 4)))
     query_docs = {
         q.source.id: build_token_doc(
@@ -367,12 +369,14 @@ def _coverage_fixture(tmp_path, n_queries=3, per_batch=5):
     query_vecs = {}
     for i, q in enumerate(queries):
         query_vecs[q.source.id] = base[i * per_batch].astype(np.float64)
+    if not covering:
+        keep = [i for i, p in enumerate(passages) if p.text not in COVER_TEXTS]
+        passages, base = [passages[i] for i in keep], base[keep]
+    store = make_store([p.id for p in passages], base)
+    token_docs = _token_docs(passages, token_store)
 
     def batch_iter():
-        for b, bp in enumerate(batches):
-            matrix = base[b * per_batch : (b + 1) * per_batch]
-            docs = {p.id: build_token_doc(p.id, list(p.tokens), token_store) for p in bp}
-            yield bp, matrix, docs
+        return batch_passages(passages, store, token_docs, per_batch)
 
     return queries, query_vecs, query_docs, batch_iter
 
@@ -409,19 +413,10 @@ class TestCoverage:
         assert counts == sorted(counts)
 
     def test_exhausted_stream_flagged_incomplete(self, tmp_path):
-        queries, vecs, docs, batch_iter = _coverage_fixture(tmp_path, n_queries=3)
-
-        def empty_iter():
-            # strip every covering passage so no query ever qualifies
-            for bp, matrix, token_docs in batch_iter():
-                rows = [i for i, p in enumerate(bp) if p.text not in COVER_TEXTS]
-                keep_ids = [bp[i].id for i in rows]
-                yield [bp[i] for i in rows], matrix[rows], {
-                    k: v for k, v in token_docs.items() if k in keep_ids
-                }
-
+        # no covering passage in the corpus, so no query ever qualifies
+        queries, vecs, docs, batch_iter = _coverage_fixture(tmp_path, n_queries=3, covering=False)
         report = coverage_loop(
-            queries, vecs, docs, empty_iter(), code_bits=8, itq_iters=5, seed=0,
+            queries, vecs, docs, batch_iter(), code_bits=8, itq_iters=5, seed=0,
             top_n=20, k=5, nes_threshold=0.8,
         )
         assert not report.complete
@@ -490,11 +485,23 @@ class TestEvalRetriever:
 
 
 class TestBatching:
-    def test_batches_cover_corpus_in_order(self, tmp_path):
+    def test_round_r_indexes_first_r_batches_in_passage_order(self):
         passages, _, store, token_store, _ = synth.build_corpus(seed=8, n_passages=10)
         token_docs = _token_docs(passages, token_store)
-        batches = list(batch_passages(passages, store, token_docs, 4))
-        assert [len(b[0]) for b in batches] == [4, 4, 2]
-        flat = [p.id for b in batches for p in b[0]]
-        assert flat == [p.id for p in passages]
-        assert np.array_equal(batches[0][1][0], store.row("p0000"))
+        order = np.random.default_rng(3).permutation(len(store))
+        shuffled = make_store([store.ids[i] for i in order], store.matrix[order])
+        rounds = list(batch_passages(passages, shuffled, token_docs, 4))
+        assert [len(round_store) for round_store, _, _ in rounds] == [4, 8, 10]
+        for round_store, table, docs in rounds:
+            ids = [p.id for p in passages[: len(round_store)]]
+            assert round_store.ids == ids
+            assert round_store.matrix.dtype == np.float32
+            assert np.array_equal(round_store.matrix, np.vstack([store.row(pid) for pid in ids]))
+            assert np.array_equal(round_store.norms, store.norms[: len(ids)])
+            assert all(table[p.id] is p for p in passages[: len(ids)])
+            assert all(docs[pid] is token_docs[pid] for pid in ids)
+
+    def test_batch_size_below_one_rejected(self):
+        passages, _, store, _, _ = synth.build_corpus(seed=8, n_passages=2)
+        with pytest.raises(ValueError, match="batch_size"):
+            next(batch_passages(passages, store, {}, 0))
