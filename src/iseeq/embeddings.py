@@ -263,10 +263,11 @@ def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> Toke
     Raises :class:`EmptyInputError` when no token has a vector; otherwise
     unknown tokens are dropped with a warning.
     """
+    row_of = lookup._row_of
     counts: dict[str, int] = {}
     dropped = 0
     for token in tokens:
-        if token in lookup:
+        if token in row_of:
             counts[token] = counts.get(token, 0) + 1
         else:
             dropped += 1
@@ -276,7 +277,7 @@ def build_token_doc(doc_id: str, tokens: list[str], lookup: VectorStore) -> Toke
         logger.warning("doc %s: dropped %d tokens missing from lookup", doc_id, dropped)
     kept = list(counts)
     total = sum(counts.values())
-    vectors = lookup.matrix[[lookup.row_index(t) for t in kept]]
+    vectors = lookup.matrix[[row_of[t] for t in kept]]
     weights = np.array([counts[t] / total for t in kept], dtype=np.float64)
     return TokenDoc(doc_id=doc_id, tokens=kept, vectors=vectors, weights=weights)
 

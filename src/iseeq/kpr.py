@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -31,14 +32,19 @@ from .wmd import wmd_exact
 logger = logging.getLogger(__name__)
 
 
+_PART_RE = re.compile(r"[a-z0-9']+")  # a lowercased TOKEN_RE match split at underscores
+
+
 def tokenize_text(text: str) -> list[str]:
-    """Lowercased word tokens under the sqe word rule, underscores split."""
-    return [
-        part
-        for word in normalize_words(TOKEN_RE.findall(text.lower()))
-        for part in word.split("_")
-        if part
-    ]
+    """Lowercased word tokens under the sqe word rule, underscores split.
+
+    The word rule only strips quotes, so text without one is split in a
+    single regex pass.
+    """
+    text = text.lower()
+    if "'" in text:
+        text = " ".join(normalize_words(TOKEN_RE.findall(text)))
+    return _PART_RE.findall(text)
 
 
 @dataclass
@@ -211,13 +217,16 @@ def retrieve(
     k: int = RunConfig.top_k,
     nes_threshold: float = RunConfig.nes_threshold,
     probe: int | None = None,
+    *,
+    wmd_memo: dict[tuple[str, str], float] | None = None,
 ) -> RetrievalResult:
     """Full pipeline for one query.
 
     Candidates are ordered by NES descending with WMD ascending (then id)
     as tie-break; ``kept`` is the first <= k whose NES strictly exceeds
     the threshold. Missing passage records for indexed ids are treated
-    as corruption.
+    as corruption. ``wmd_memo`` holds the WMD of each (query id, passage
+    id) pair already solved with the same token docs; new pairs are added.
     """
     check_setting("nes_threshold", nes_threshold)
     if k < 1 or k > top_n:
@@ -225,15 +234,18 @@ def retrieve(
     if not eq.entities:
         logger.warning("query %s has no entities; NES defaults to 0", eq.source.id)
 
+    memo = {} if wmd_memo is None else wmd_memo
     candidates = sitq.query(index, q_vec, top_n=top_n, probe=probe)
     scored: list[tuple[str, float, float]] = []
     for cand in candidates:
         passage = passages.get(cand.passage_id)
         if passage is None:
             raise DataError(f"indexed passage {cand.passage_id!r} missing from passage table")
-        doc = token_docs.get(cand.passage_id)
-        wmd_score = wmd_exact(q_tokens, doc) if doc is not None else math.inf
-        scored.append((cand.passage_id, wmd_score, nes(passage, eq)))
+        pair = (eq.source.id, cand.passage_id)
+        if pair not in memo:
+            doc = token_docs.get(cand.passage_id)
+            memo[pair] = wmd_exact(q_tokens, doc) if doc is not None else math.inf
+        scored.append((cand.passage_id, memo[pair], nes(passage, eq)))
 
     scored.sort(key=lambda item: (-item[2], item[1], item[0]))
     kept = [pid for pid, _, nes_val in scored if nes_val > nes_threshold][:k]
@@ -267,6 +279,8 @@ def coverage_loop(
     uncovered query makes the report incomplete, not an error. A
     :mod:`sitq` warning that every round would repeat, such as
     ``code_bits`` exceeding the augmented dim, is logged once per call.
+    A pair's WMD is solved once per call: later rounds that retrieve the
+    same passage for the same query reuse it.
     """
     coverable = [eq for eq in queries if eq.entities]
     if len(coverable) < len(queries):
@@ -277,6 +291,7 @@ def coverage_loop(
     covered: dict[str, list[str]] = {}
     per_round: list[tuple[int, int]] = []
     scanned = 0
+    wmd_memo: dict[tuple[str, str], float] = {}
 
     seen: set[str] = set()
 
@@ -306,6 +321,7 @@ def coverage_loop(
                     k=min(k, effective_top_n),
                     nes_threshold=nes_threshold,
                     probe=probe,
+                    wmd_memo=wmd_memo,
                 )
                 if result.kept:
                     covered[qid] = result.kept

@@ -31,10 +31,14 @@ rotation is then learned on a seeded, sorted sample of ``ITQ_SAMPLE``
 rows (every row when there are fewer), so ``itq_objective`` is that
 sample's quantization error, and the second pass encodes every row.
 No n x (dim + 1) array is built: apart from the packed codes the build
-holds one block, and the sample's augmented rows, projection and two
-buffers of that size (``v @ rotation``, which serves both the
-objective of an ITQ iteration and the sign step of the next, and the
-+-1 codes, which then hold their squared residual).
+holds one block, and the sample's augmented rows, their projection V,
+one buffer of that size for V @ rotation and two boolean arrays of its
+signs. Each ITQ iteration does one dense product, V @ rotation. Few
+signs flip once ITQ settles, so the codes' product V^T B is kept
+current over only the rows that flipped, in ``BLOCK_ROWS``-row blocks,
+and the objective ||V R - B||^2 = ||V||^2 + V.size - 2 sum(sigma) is
+read off the singular values of V^T B that the Procrustes step
+computes anyway.
 """
 
 from __future__ import annotations
@@ -158,20 +162,27 @@ def build_index(
     aug -= mean
     v = aug @ projection
     del aug
-    vr = v @ rotation
-    b = np.empty_like(vr)
+    # ||V R - B||^2 = ||V||^2 + ||B||^2 - 2 tr(R^T V^T B), and the Procrustes R
+    # makes the trace the sum of the singular values of V^T B.
+    base = float(np.vdot(v, v)) + v.size
+    vr = np.empty_like(v)
+    old = np.zeros(v.shape, dtype=bool)  # B = -1 everywhere, so V^T B starts at -V^T 1
+    new = np.empty_like(old)
+    vtb = np.repeat(-v.sum(axis=0)[:, None], code_bits, axis=1)
     objective: list[float] = []
     for _ in range(itq_iters):
-        np.greater_equal(vr, 0.0, out=b)
-        b *= 2.0
-        b -= 1.0
-        u, _, wt = np.linalg.svd(v.T @ b)
-        rotation = u @ wt
         np.matmul(v, rotation, out=vr)
-        np.subtract(vr, b, out=b)
-        np.square(b, out=b)
-        objective.append(float(b.sum()))
-    del v, vr, b
+        np.greater_equal(vr, 0.0, out=new)
+        # V^T B changes only in the rows whose signs flipped, by 2 V[rows]^T (new - old).
+        flipped = np.flatnonzero((new != old).any(axis=1))
+        for start in range(0, len(flipped), BLOCK_ROWS):
+            rows = flipped[start : start + BLOCK_ROWS]
+            vtb += 2.0 * (v[rows].T @ (new[rows].astype(np.float64) - old[rows]))
+        old, new = new, old
+        u, sigma, wt = np.linalg.svd(vtb)
+        rotation = u @ wt
+        objective.append(base - 2.0 * float(sigma.sum()))
+    del v, vr, old, new
 
     codes = np.empty((n, -(-code_bits // 64)), dtype=np.uint64)
     for start in blocks:

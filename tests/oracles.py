@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms and
 data layouts than the package: breadth-first reachability instead of
 DFS, recursion instead of an explicit stack, a dense two-phase tableau simplex instead of a network simplex on
 the transport tree, memoized recursion instead of iterative DP,
-character-level scanning instead of token matching, a full sort of every
+character-level scanning instead of token matching, a word-at-a-time
+tokenizer instead of one regex pass, a full sort of every
 indexed row by string id instead of a Hamming cutoff, and a batch rescored
 for every loss step instead of one pass. Slow and simple on purpose.
 """
@@ -95,6 +96,19 @@ def strip_injections(eq) -> str:
         assert text[at : at + len(inserted)] == inserted
         text = text[:at] + text[at + len(inserted) :]
     return text
+
+
+def tokenize_by_word(text: str) -> list[str]:
+    """Passage tokens one word at a time: each ``[A-Za-z0-9_']+`` run of the
+    lowercased text, stripped of quotes and then of a trailing 's, split at
+    underscores, empty parts dropped."""
+    parts = []
+    for raw in re.findall(r"[A-Za-z0-9_']+", text.lower()):
+        word = raw.strip("'")
+        if word.endswith("'s"):
+            word = word[:-2]
+        parts.extend(part for part in word.split("_") if part)
+    return parts
 
 
 def brute_mips_ids(ids: list[str], matrix: np.ndarray, q: np.ndarray, n: int) -> list[str]:

@@ -139,6 +139,7 @@ class TestTokenDoc:
         assert doc.tokens == ["w0", "w1", "w2"]
         assert np.allclose(doc.weights, [10 / 45, 20 / 45, 15 / 45])
         assert abs(doc.weights.sum() - 1.0) < 1e-6
+        assert "d: dropped 5 tokens missing from lookup" in caplog.text
 
     def test_all_oov_rejected(self):
         store = make_store(["a"], [[1.0]])

@@ -1,10 +1,15 @@
 import json
 import logging
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iseeq import kpr
 
 from iseeq.embeddings import build_token_doc, save_vectors
 from iseeq.errors import DataError
@@ -26,11 +31,22 @@ from iseeq.wmd import wmd_exact
 
 import synth
 from conftest import CAREER_QUERY, make_store
-from oracles import nes_bruteforce
+from oracles import nes_bruteforce, tokenize_by_word
 
 
 def career_eq(career_kg):
     return expand_query(career_kg, QueryDescription(id="d1", text=CAREER_QUERY))
+
+
+class TestTokenize:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="aB9_' İKé-.,\u212a"))  # U+212A KELVIN SIGN lowercases to "k"
+    def test_matches_word_by_word(self, text):
+        assert tokenize_text(text) == tokenize_by_word(text)
+
+    def test_quotes_and_underscores(self):
+        text = "The nurse's 'tool_kit' o'clock __a_B__ İstanbul's 'tis"
+        assert tokenize_text(text) == ["the", "nurse", "tool", "kit", "o'clock", "a", "b", "i", "stanbul", "tis"]
 
 
 class TestNes:
@@ -422,6 +438,25 @@ class TestCoverage:
         assert not report.complete
         assert report.queries_covered == 0
         assert len(report.per_round) == 4
+
+    def test_each_pair_solved_once_per_call(self, tmp_path, monkeypatch):
+        queries, vecs, docs, batch_iter = _coverage_fixture(tmp_path, n_queries=3)
+        opts = dict(code_bits=8, itq_iters=5, seed=0, top_n=20, k=5, nes_threshold=0.8)
+        solves = Counter()
+
+        def counted(q_doc, p_doc):
+            solves[q_doc.doc_id, p_doc.doc_id] += 1
+            return wmd_exact(q_doc, p_doc)
+
+        monkeypatch.setattr(kpr, "wmd_exact", counted)
+        report = coverage_loop(queries, vecs, docs, batch_iter(), **opts)
+        assert solves and set(solves.values()) == {1}
+        # without the memo the later rounds re-solve pairs, to the same report
+        solves.clear()
+        retrieve_each_time = kpr.retrieve
+        monkeypatch.setattr(kpr, "retrieve", lambda *args, wmd_memo, **kw: retrieve_each_time(*args, **kw))
+        assert coverage_loop(queries, vecs, docs, batch_iter(), **opts) == report
+        assert max(solves.values()) > 1
 
 
 HAND_RANKED = {f"q{i}": [f"q{i}_p{j}" for j in range(5)] for i in range(10)}

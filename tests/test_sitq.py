@@ -89,6 +89,8 @@ class TestBuild:
             # one row more than the sample, then exactly the sample: every row
             pytest.param(65, 12, 16, 10, False, 64, None, id="65-12-16-10-False-sample64"),
             pytest.param(64, 12, 16, 10, False, 64, None, id="64-12-16-10-False-sample64"),
+            # signs still flip at the last iteration, in more rows than one 256-row block
+            pytest.param(3000, 64, 64, 50, False, None, 256, id="3000-64-64-50-False-block256"),
         ],
     )
     def test_matches_allocating_build(self, caplog, monkeypatch, rows, dim, code_bits, itq_iters,
@@ -105,16 +107,23 @@ class TestBuild:
         index = build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=3)
         expected = itq_build_allocating(store, code_bits, itq_iters, seed=3,
                                         block_rows=sitq.BLOCK_ROWS, sample_size=sitq.ITQ_SAMPLE)
-        for name in ("mean", "projection", "rotation", "codes"):
+        for name in ("mean", "projection", "codes"):
             assert np.array_equal(getattr(index, name), expected[name]), name
-        assert index.itq_objective == expected["itq_objective"]
+        # The build updates V^T B from the rows whose signs flipped and takes the
+        # objective from its singular values, so these two round differently.
+        assert index.itq_objective == pytest.approx(expected["itq_objective"], rel=1e-12)
+        if min(rows, sitq.ITQ_SAMPLE) > dim:
+            # With fewer sample rows than dim + 1, V^T B is rank-deficient and
+            # the rotation is not unique; the codes and objective above still are.
+            assert np.abs(index.rotation - expected["rotation"]).max() <= 1e-12
         assert ("exceeds augmented dim" in caplog.text) == (code_bits > dim + 1)
 
     def test_peak_memory(self):
         # The covariance and the codes go through 2,048-row blocks. With
         # fewer rows than the ITQ sample, ITQ sees every row: their augmented
-        # matrix, then its projection and two buffers of that size set the
-        # peak here (1.55x).
+        # matrix and its projection set the peak here (1.55x). The ITQ loop
+        # then holds the projection, one buffer of that size and two boolean
+        # sign arrays.
         rng = np.random.default_rng(8)
         rows, dim = 8000, 128
         store = random_store(rng, rows, dim)
