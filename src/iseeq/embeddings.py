@@ -193,16 +193,22 @@ def load_vectors(path: str | Path) -> VectorStore:
 
 
 def _load_binary(fh: BinaryIO, path: Path) -> VectorStore:
-    """Rows of an open ``ISEQVEC1`` file positioned after the magic."""
+    """Rows of an open ``ISEQVEC1`` file positioned after the magic.
+
+    Each row's floats are read straight into its slice of the matrix;
+    no buffer holds more than one id.
+    """
     dim, count = struct.unpack("<IQ", read_exact(fh, 12, path))
     row_bytes = dim * 4
     if count * (2 + row_bytes) > path.stat().st_size - 20:
         raise DataError(f"{path}: header claims {count} rows of dim {dim}, file too short")
     ids: list[str] = []
-    matrix = np.empty((count, dim), dtype=np.float32)
+    matrix = np.empty((count, dim), dtype="<f4")
+    flat = memoryview(matrix.reshape(-1).view(np.uint8))  # a cast view rejects 0 rows or dim 0
     for i in range(count):
         ids.append(read_id(fh, path))
-        matrix[i] = np.frombuffer(read_exact(fh, row_bytes, path), dtype="<f4")
+        if fh.readinto(flat[i * row_bytes : (i + 1) * row_bytes]) != row_bytes:
+            raise DataError(f"{path}: truncated at byte {fh.tell()}")
     return _finish_store(ids, matrix, str(path))
 
 

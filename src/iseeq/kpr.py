@@ -305,7 +305,6 @@ def coverage_loop(
         for store, passages, token_docs in rounds if coverable else ():
             scanned = len(store)
             index = sitq.build_index(store, code_bits=code_bits, itq_iters=itq_iters, seed=seed)
-            effective_top_n = min(top_n, scanned)
             for eq in coverable:
                 qid = eq.source.id
                 if qid in covered:
@@ -317,8 +316,8 @@ def coverage_loop(
                     eq,
                     query_vecs[qid],
                     query_docs[qid],
-                    top_n=effective_top_n,
-                    k=min(k, effective_top_n),
+                    top_n=top_n,
+                    k=min(k, top_n),
                     nes_threshold=nes_threshold,
                     probe=probe,
                     wmd_memo=wmd_memo,

@@ -80,19 +80,22 @@ class LossBatch:
 
 
 def lcs_len(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0] * (len(b) + 1)
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel (Allison & Dix 1986, in Hyyrö's 2004 form): bit j of
+    ``v`` is 0 where the DP row steps up at ``b[j]``, so each token of
+    ``a`` costs a few operations on ``len(b)``-bit Python ints.
+    """
+    masks: dict[str, int] = {}  # token -> the positions of b that hold it
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        m = masks.get(tok, 0)
+        u = v & m
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def reward(pair: QuestionPair, cfg: RunConfig) -> float:

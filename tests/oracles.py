@@ -195,7 +195,7 @@ def sitq_query_lexsort(index, q: np.ndarray, top_n: int, probe: int | None = Non
 
 
 def lcs_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Memoized-recursion LCS, independent of the iterative two-row DP."""
+    """Memoized-recursion LCS, independent of the bit-parallel ``losses.lcs_len``."""
 
     @lru_cache(maxsize=None)
     def go(i: int, j: int) -> int:

@@ -1,9 +1,12 @@
 import json
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from iseeq import embeddings
 from iseeq.embeddings import (
     TokenDoc,
     VectorStore,
@@ -49,6 +52,51 @@ class TestBinaryFormat:
         path.write_bytes(data[:-3])
         with pytest.raises(DataError):
             load_vectors(path)
+
+    def test_cut_inside_last_row_names_the_byte(self, tmp_path):
+        # long ids let the header's row count pass the file-size check, so
+        # the short read inside the last row's floats is what fails
+        path = tmp_path / "v.bin"
+        save_vectors(path, ["a" * 10, "b" * 10], np.ones((2, 2), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:57])  # 60 bytes whole: 3 of the last row's 8 cut
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: truncated at byte 57$"):
+            load_vectors(path)
+
+    def test_dim_zero_still_reads_ids(self, tmp_path):
+        path = tmp_path / "v.bin"
+        save_vectors(path, ["x", "yy", "zzz"], np.empty((3, 0), dtype=np.float32))
+        store = load_vectors(path)
+        assert store.ids == ["x", "yy", "zzz"]
+        assert store.matrix.shape == (3, 0)
+        assert store.norms.tolist() == [0.0, 0.0, 0.0]
+
+    def test_count_zero(self, tmp_path):
+        path = tmp_path / "v.bin"
+        save_vectors(path, [], np.empty((0, 3), dtype=np.float32))
+        store = load_vectors(path)
+        assert store.ids == []
+        assert store.matrix.shape == (0, 3)
+        assert store.matrix.dtype == np.float32
+
+    def test_load_peak_memory(self, tmp_path, monkeypatch):
+        # the rows are read into the matrix in place: no whole-file buffer,
+        # and no more than about one row in flight on top of matrix and ids
+        rows, dim = 4000, 64
+        ids = [f"row-{i:05d}" for i in range(rows)]
+        matrix = np.random.default_rng(2).standard_normal((rows, dim)).astype(np.float32)
+        path = tmp_path / "v.bin"
+        save_vectors(path, ids, matrix)
+        # _finish_store's checks and the store's norms are measured in test_store_peak_memory
+        monkeypatch.setattr(embeddings, "_finish_store", lambda ids, matrix, origin: (ids, matrix))
+        tracemalloc.start()
+        try:
+            loaded_ids, loaded = load_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == matrix.tobytes() and loaded_ids == ids
+        held = loaded.nbytes + sys.getsizeof(loaded_ids) + sum(sys.getsizeof(i) for i in loaded_ids)
+        assert peak < held + dim * 4 + 16_384  # the open file's 8 KiB buffer included
 
 
 class TestJsonl:

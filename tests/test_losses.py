@@ -69,12 +69,13 @@ class TestLcs:
         assert lcs_len([], ["a"]) == 0
 
     def test_matches_recursive_oracle(self):
+        # up to 150 tokens, the match masks run past one and two 64-bit words
         rng = np.random.default_rng(31)
-        vocab = list("abcde")
-        for _ in range(100):
-            a = [vocab[i] for i in rng.integers(0, 5, size=rng.integers(0, 12))]
-            b = [vocab[i] for i in rng.integers(0, 5, size=rng.integers(0, 12))]
-            assert lcs_len(a, b) == lcs_recursive(tuple(a), tuple(b))
+        for vocab, max_len, cases in [("abcde", 12, 100), ("abcde", 150, 15), ("a", 150, 15)]:
+            for _ in range(cases):
+                a = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, max_len + 1))]
+                b = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, max_len + 1))]
+                assert lcs_len(a, b) == lcs_recursive(tuple(a), tuple(b))
 
     @settings(max_examples=60, deadline=None)
     @given(
